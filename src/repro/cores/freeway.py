@@ -4,6 +4,8 @@ Load Slice Core plus dependence-aware slice scheduling: slices that depend
 on a load of an older slice are diverted into a *yielding* queue (Y-IQ), so
 independent slices in the B-IQ are not blocked by inter-slice dependences.
 Issue priority is B-IQ, then Y-IQ, then A-IQ, sharing the machine width.
+Issue, dispatch and commit are the Load Slice Core's; this class supplies
+the extra queue, its place in the issue order and the steering rule.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ class FreewayCore(LoadSliceCore):
     def _reset(self) -> None:
         super()._reset()
         self.yiq: Deque[InflightInst] = deque()
+        self._set_queues((self.biq, "issued_biq"), (self.yiq, "issued_yiq"),
+                         (self.aiq, "issued_aiq"))
 
     def pipeline_empty(self) -> bool:
         return super().pipeline_empty() and not self.yiq
@@ -42,55 +46,13 @@ class FreewayCore(LoadSliceCore):
             return "yiq"
         return super()._stall_structure(head)
 
-    def _accounting_queues(self):
-        return (self.biq, self.yiq, self.aiq)
-
-    def _issue(self, cycle: int) -> None:
-        budget = self.cfg.width
-        budget = self._issue_queue(self.biq, cycle, budget, "b")
-        budget = self._issue_queue(self.yiq, cycle, budget, "y")
-        self._issue_queue(self.aiq, cycle, budget, "a")
-
-    def _dispatch(self, cycle: int) -> None:
-        dispatched = 0
-        while dispatched < self.cfg.width:
-            inst = self.fetch.peek_ready(cycle)
-            if inst is None or len(self.rob) >= self.cfg.rob_size:
-                break
-            to_b = self._steer_to_b(inst)
-            if to_b and self._is_dependent_slice(inst):
-                queue, cap, tag = self.yiq, self.cfg.yiq_size, "Y"
-            elif to_b:
-                queue, cap, tag = self.biq, self.cfg.biq_size, "B"
-            else:
-                queue, cap, tag = self.aiq, self.cfg.aiq_size, "A"
-            if len(queue) >= cap:
-                break
-            self.fetch.pop_ready(cycle, 1)
-            self._learn(inst)
-            entry = self.make_entry(inst)
-            entry.queue_tag = tag
-            queue.append(entry)
-            self.rob.append(entry)
-            if inst.dst is not None:
-                self.reg_writer_pc[inst.dst] = inst.pc
-            dispatched += 1
-            self.stats.add("dispatched")
-            if tag == "Y":
-                self.stats.add("yiq_steered")
-                if self.tracer is not None:
-                    # Steering into the yielding queue is Freeway's analogue
-                    # of a queue promotion.
-                    self.tracer.emit("siq_promote", cycle, entry.seq,
-                                     from_queue="B", to_queue="Y")
-
-    def _steer_target(self, inst):
-        """Freeway steering (read-only), including the yielding queue."""
-        if self._steer_to_b(inst):
-            if self._is_dependent_slice(inst):
-                return self.yiq, self.cfg.yiq_size
-            return self.biq, self.cfg.biq_size
-        return self.aiq, self.cfg.aiq_size
+    def _steer(self, inst):
+        """Freeway steering (read-only): a slice instruction that depends
+        on an outstanding older slice goes to the yielding queue."""
+        target = super()._steer(inst)
+        if target[2] == "B" and self._is_dependent_slice(inst):
+            return self.yiq, self.cfg.yiq_size, "Y"
+        return target
 
     def _is_dependent_slice(self, inst) -> bool:
         """A slice instruction whose value depends on an outstanding load of

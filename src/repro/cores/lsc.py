@@ -53,6 +53,13 @@ class LoadSliceCore(CoreModel):
         self.sb: Deque[InflightInst] = deque()
         # Static producer tracking for IST learning (architectural).
         self.reg_writer_pc: Dict[int, int] = {}
+        self._set_queues((self.biq, "issued_biq"), (self.aiq, "issued_aiq"))
+
+    def _set_queues(self, *order) -> None:
+        """Install the in-order issue queues as ``(queue, issue counter)``
+        pairs in issue priority order."""
+        self._issue_order = order
+        self._queues = tuple(queue for queue, _ in order)
 
     def pipeline_empty(self) -> bool:
         return not self.rob and not self.sb
@@ -79,94 +86,115 @@ class LoadSliceCore(CoreModel):
 
     def _issue_gate(self):
         """Oldest unissued instruction across the in-order queue heads."""
-        heads = [q[0] for q in self._accounting_queues() if q]
+        heads = [q[0] for q in self._queues if q]
         return min(heads, key=lambda e: e.seq) if heads else None
 
-    def _accounting_queues(self):
-        return (self.biq, self.aiq)
-
     def _step(self, cycle: int) -> None:
-        self._retire_stores(cycle)
-        self._commit(cycle)
-        self._issue(cycle)
-        self._dispatch(cycle)
+        """One cycle: SB retirement, commit, in-order issue from each
+        queue head, dispatch.
 
-    # -- store buffer --------------------------------------------------------------
+        Store retirement and issue run inline on hoisted locals; commit
+        and dispatch stay methods (the self-profiler's scopes) and are
+        called only when they can make progress.
+        """
+        counters = self.stats.counters
+        sb = self.sb
+        # -- store buffer ---------------------------------------------------------
+        if sb:
+            fill = sb[0].fill_ready
+            if (fill is not None and fill <= cycle
+                    and self.fu.take_store_port()):
+                sb.popleft()
+                counters["sb_retires"] += 1.0
+        rob = self.rob
+        if rob:
+            done = rob[0].done_at
+            if done is not None and done <= cycle:
+                self._commit(cycle)
+        # -- issue: each queue in priority order, sharing the width -------------
+        budget = self.cfg.width
+        poll = self.poll_ready
+        take = self.fu.take
+        issued_total = 0
+        for queue, counter in self._issue_order:
+            issued = 0
+            while budget > 0 and queue:
+                entry = queue[0]
+                if entry.n_pending and (not poll or not entry.ready(cycle)):
+                    break
+                if entry.inst.dst is not None and self._hazard(entry):
+                    counters["hazard_stalls"] += 1.0
+                    break
+                if not take(entry.inst.op):
+                    break
+                queue.popleft()
+                self._execute(entry, cycle)
+                issued += 1
+                budget -= 1
+            if issued:
+                counters[counter] += issued
+                issued_total += issued
+        if issued_total:
+            counters["issued"] += issued_total
+        fq = self.fetch.queue
+        if fq and fq[0].ready_at <= cycle:
+            self._dispatch(cycle)
 
-    def _retire_stores(self, cycle: int) -> None:
-        if not self.sb:
-            return
-        head = self.sb[0]
-        if not self.store_fill_arrived(head, cycle):
-            return
-        if not self.fu.take_store_port():
-            return
-        self.sb.popleft()
-        self.stats.add("sb_retires")
+    # -- commit ---------------------------------------------------------------------
 
     def _commit(self, cycle: int) -> None:
+        rob = self.rob
+        sb = self.sb
+        sb_size = self.cfg.sq_sb_size
+        width = self.cfg.width
+        note_commit = self.note_commit
         committed = 0
-        while (self.rob and committed < self.cfg.width
-               and self.rob[0].done_at is not None
-               and self.rob[0].done_at <= cycle):
-            entry = self.rob[0]
+        while rob and committed < width:
+            entry = rob[0]
+            done = entry.done_at
+            if done is None or done > cycle:
+                break
             if entry.inst.is_store:
-                if len(self.sb) >= self.cfg.sq_sb_size:
+                if len(sb) >= sb_size:
                     break
-                self.sb.append(entry)
+                sb.append(entry)
                 self.start_store_fill(entry, cycle)
-            self.rob.popleft()
-            self.note_commit(entry, cycle)
+            rob.popleft()
+            note_commit(entry, cycle)
             committed += 1
 
     # -- issue ------------------------------------------------------------------------
 
-    def _issue(self, cycle: int) -> None:
-        budget = self.cfg.width
-        budget = self._issue_queue(self.biq, cycle, budget, "b")
-        self._issue_queue(self.aiq, cycle, budget, "a")
-
-    def _issue_queue(self, queue: Deque[InflightInst], cycle: int,
-                     budget: int, tag: str) -> int:
-        while budget > 0 and queue:
-            entry = queue[0]
-            if not entry.ready(cycle):
-                break
-            if self._hazard(entry):
-                self.stats.add("hazard_stalls")
-                break
-            if not self.fu.take(entry.inst.op):
-                break
-            queue.popleft()
-            self._execute(entry, cycle)
-            self.stats.add(f"issued_{tag}iq")
-            budget -= 1
-        return budget
-
     def _hazard(self, entry: InflightInst) -> bool:
         """Without renaming, a WAW/WAR hazard with an older *unissued*
-        instruction in the other queue(s) blocks issue."""
+        instruction in the other queue(s) blocks issue.
+
+        Every unissued instruction waits in one of the in-order queues
+        (and every queued one is unissued), so the older unissued
+        instructions are the queue prefixes older than ``entry``.
+        """
         dst = entry.inst.dst
         if dst is None:
             return False
-        for other in self.rob:
-            if other.seq >= entry.seq:
-                break
-            if other.issue_at is None and other is not entry:
-                if other.inst.dst == dst or dst in other.inst.srcs:
+        seq = entry.seq
+        for queue in self._queues:
+            for other in queue:
+                if other.seq >= seq:
+                    break
+                inst = other.inst
+                if inst.dst == dst or dst in inst.srcs:
                     return True
         return False
 
     def _execute(self, entry: InflightInst, cycle: int) -> None:
         inst = entry.inst
         entry.issue_at = cycle
-        self.stats.add("issued")
         if inst.is_load:
             forward = self._forwarding_store(entry)
             entry.forward_store = forward
             if forward is not None:
                 entry.done_at = cycle + 2
-                self.stats.add("stl_forwards")
+                self.stats.counters["stl_forwards"] += 1.0
             else:
                 entry.done_at = cycle + self.load_latency(entry, cycle)
         elif inst.is_store:
@@ -175,109 +203,140 @@ class LoadSliceCore(CoreModel):
             entry.done_at = cycle + inst.latency
         if self.tracer is not None:
             self.trace_issue(entry, cycle, queue=entry.queue_tag)
-        self.resolve_branch_if_gating(entry)
+        if inst.is_branch:
+            self.resolve_branch_if_gating(entry)
         self._schedule_wakeup(entry)
 
     def _forwarding_store(self, load: InflightInst) -> Optional[InflightInst]:
-        """Older stores are all resolved (in-order AGIs in the B-IQ)."""
+        """Older stores are all resolved (in-order AGIs in the B-IQ).
+
+        The youngest older issued store that overlaps wins; buffered
+        stores have committed, so they are older than anything in the ROB
+        and only matter when it has none.
+        """
+        seq = load.seq
+        inst = load.inst
         best = None
         for store in self.rob:
-            if store.seq >= load.seq:
+            if store.seq >= seq:
                 break
-            if (store.inst.is_store and store.issue_at is not None
-                    and store.inst.overlaps(load.inst)):
-                if best is None or store.seq > best.seq:
-                    best = store
-        for store in self.sb:
-            if store.inst.overlaps(load.inst):
-                if best is None or store.seq > best.seq:
-                    best = store
-        return best
+            sinst = store.inst
+            if (sinst.is_store and store.issue_at is not None
+                    and sinst.overlaps(inst)):
+                best = store
+        if best is not None:
+            return best
+        for store in reversed(self.sb):
+            if store.inst.overlaps(inst):
+                return store
+        return None
 
     # -- dispatch + IST learning ---------------------------------------------------------
 
     def _dispatch(self, cycle: int) -> None:
-        dispatched = 0
-        while dispatched < self.cfg.width:
-            inst = self.fetch.peek_ready(cycle)
-            if inst is None or len(self.rob) >= self.cfg.rob_size:
+        fq = self.fetch.queue
+        rob = self.rob
+        rob_size = self.cfg.rob_size
+        width = self.cfg.width
+        steer = self._steer
+        reg_writer_pc = self.reg_writer_pc
+        ist = self.ist
+        tracer = self.tracer
+        dispatched = yielded = 0
+        while dispatched < width and fq:
+            head = fq[0]
+            if head.ready_at > cycle or len(rob) >= rob_size:
                 break
-            to_b = self._steer_to_b(inst)
-            queue, cap = ((self.biq, self.cfg.biq_size) if to_b
-                          else (self.aiq, self.cfg.aiq_size))
+            inst = head.inst
+            queue, cap, tag = steer(inst)
             if len(queue) >= cap:
                 break
-            self.fetch.pop_ready(cycle, 1)
-            self._learn(inst)
+            fq.popleft()
+            # IST learning: iterative backward dependence analysis, one
+            # level per pass.
+            if inst.is_mem:
+                # Mark the producers of the address operand(s).
+                if inst.srcs:
+                    pc = reg_writer_pc.get(inst.srcs[0])
+                    if pc is not None:
+                        ist.add(pc)
+            elif tag != "A":
+                # A marked (slice) instruction marks its own producers.
+                for src in inst.srcs:
+                    pc = reg_writer_pc.get(src)
+                    if pc is not None:
+                        ist.add(pc)
             entry = self.make_entry(inst)
-            entry.queue_tag = "B" if to_b else "A"
+            entry.queue_tag = tag
             queue.append(entry)
-            self.rob.append(entry)
-            if inst.dst is not None:
-                self.reg_writer_pc[inst.dst] = inst.pc
+            rob.append(entry)
+            dst = inst.dst
+            if dst is not None:
+                reg_writer_pc[dst] = inst.pc
             dispatched += 1
-            self.stats.add("dispatched")
+            if tag == "Y":
+                # Freeway's yielding queue.
+                yielded += 1
+                if tracer is not None:
+                    # Steering into the yielding queue is Freeway's
+                    # analogue of a queue promotion.
+                    tracer.emit("siq_promote", cycle, entry.seq,
+                                from_queue="B", to_queue="Y")
+        if dispatched:
+            counters = self.stats.counters
+            counters["dispatched"] += dispatched
+            if yielded:
+                counters["yiq_steered"] += yielded
 
-    def _steer_to_b(self, inst) -> bool:
-        return inst.is_mem or inst.pc in self.ist
-
-    def _steer_target(self, inst):
-        """Read-only steering decision: (queue, capacity) for ``inst``."""
-        if self._steer_to_b(inst):
-            return self.biq, self.cfg.biq_size
-        return self.aiq, self.cfg.aiq_size
+    def _steer(self, inst):
+        """Read-only steering decision: ``(queue, capacity, tag)``.
+        Memory operations and IST-marked slice members go to the B-IQ."""
+        if inst.is_mem or inst.pc in self.ist.pcs:
+            return self.biq, self.cfg.biq_size, "B"
+        return self.aiq, self.cfg.aiq_size, "A"
 
     # -- event-driven fast forward --------------------------------------------
 
     def _next_event_cycle(self, cycle: int):
-        rates = {}
         cand = []
-        cfg = self.cfg
-        if self.sb:
-            head = self.sb[0]
-            if head.fill_ready is not None and head.fill_ready > cycle:
-                cand.append(head.fill_ready)
+        sb = self.sb
+        if sb:
+            fill = sb[0].fill_ready
+            if fill is not None and fill > cycle:
+                cand.append(fill)
             else:
                 return None  # SB head retires
-        if self.rob:
-            head = self.rob[0]
-            if head.done_at is not None and head.done_at <= cycle:
+        rob = self.rob
+        if rob:
+            head = rob[0]
+            done = head.done_at
+            if done is not None and done <= cycle:
                 if not (head.inst.is_store
-                        and len(self.sb) >= cfg.sq_sb_size):
+                        and len(sb) >= self.cfg.sq_sb_size):
                     return None  # head would commit
                 # full SB blocks commit silently (no counter)
-        for queue in self._accounting_queues():
+        rates = {}
+        poll = self.poll_ready
+        for queue in self._queues:
             if not queue:
                 continue
             head = queue[0]
-            if not head.ready(cycle):
+            if head.n_pending and (not poll or not head.ready(cycle)):
                 continue  # completion is on the wakeup calendar
             if self._hazard(head):
                 rates["hazard_stalls"] = rates.get("hazard_stalls", 0) + 1
                 continue
             if not self.fu.zero_capacity(head.inst.op):
                 return None  # head would issue
-        queue = self.fetch.queue
-        if queue:
-            fhead = queue[0]
+        fq = self.fetch.queue
+        if fq:
+            fhead = fq[0]
             if fhead.ready_at > cycle:
                 cand.append(fhead.ready_at)
-            elif len(self.rob) < cfg.rob_size:
-                target, cap = self._steer_target(fhead.inst)
+            elif len(rob) < self.cfg.rob_size:
+                target, cap, _ = self._steer(fhead.inst)
                 if len(target) < cap:
                     return None  # head would dispatch
         if not self._fetch_quiescent(cycle, cand):
             return None
         return self._finish_hint(cand, rates)
-
-    def _learn(self, inst) -> None:
-        """Iterative backward dependence analysis (one level per pass)."""
-        if inst.is_mem:
-            # Mark the producers of the address operand(s).
-            base = inst.srcs[0] if inst.srcs else None
-            if base is not None and base in self.reg_writer_pc:
-                self.ist.add(self.reg_writer_pc[base])
-        elif inst.pc in self.ist:
-            for src in inst.srcs:
-                if src in self.reg_writer_pc:
-                    self.ist.add(self.reg_writer_pc[src])

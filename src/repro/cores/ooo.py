@@ -66,9 +66,9 @@ class OutOfOrderCore(CoreModel):
     kind = "ooo"
 
     def _reset(self) -> None:
-        self.iq: List[InflightInst] = []
+        self.iq: List[InflightInst] = []        # program order
         self.rob: Deque[InflightInst] = deque()
-        self.lq: List[InflightInst] = []
+        self.lq: Deque[InflightInst] = deque()  # program order
         self.sq: Deque[InflightInst] = deque()   # unified SQ + SB
         self.free_int = self.cfg.prf_int - NUM_INT_ARCH
         self.free_fp = self.cfg.prf_fp - NUM_FP_ARCH
@@ -107,60 +107,162 @@ class OutOfOrderCore(CoreModel):
         return "rob" if head.issue_at is not None else "iq"
 
     def _step(self, cycle: int) -> None:
-        self._retire_stores(cycle)
-        self._commit(cycle)
-        self._issue(cycle)
-        self._dispatch(cycle)
+        """One cycle: SB retirement, commit, wakeup/select, dispatch.
 
-    # -- store retirement (SB part of the unified SQ/SB) -----------------------
-
-    def _retire_stores(self, cycle: int) -> None:
-        if not self.sq or not self.sq[0].committed:
-            return
-        head = self.sq[0]
-        if not self.store_fill_arrived(head, cycle):
-            return
-        if not self.fu.take_store_port():
-            return
-        self.sq.popleft()
-        self.stats.add("sq_reads")
-        self.stats.add("sb_retires")
+        Store retirement and the select loop run inline on hoisted
+        locals; commit and dispatch stay methods (the self-profiler's
+        scopes) and are called only when they can make progress.  Event
+        counters accumulate in locals and are added once per stage.
+        """
+        counters = self.stats.counters
+        sq = self.sq
+        # -- store retirement (SB part of the unified SQ/SB) ------------------
+        if sq:
+            head = sq[0]
+            fill = head.fill_ready
+            if (head.committed and fill is not None and fill <= cycle
+                    and self.fu.take_store_port()):
+                sq.popleft()
+                counters["sq_reads"] += 1.0
+                counters["sb_retires"] += 1.0
+        rob = self.rob
+        if rob:
+            done = rob[0].done_at
+            if done is not None and done <= cycle:
+                self._commit(cycle)
+        # -- issue (wakeup / select) -------------------------------------------
+        iq = self.iq
+        if iq:
+            counters["iq_select"] += 1.0
+            # The IQ is in program order, so this walk is the oldest-first
+            # age-matrix select.  Issuing never wakes a consumer in the same
+            # cycle (every latency is >= 1), so readiness can be tested as
+            # the walk reaches each entry.
+            width = self.cfg.width
+            take = self.fu.take
+            tracer = self.tracer
+            picked = []             # IQ indices issued this cycle
+            left = len(iq)          # unissued entries still in the IQ
+            squashed_from = None    # a store's LQ search squashed from here
+            issued = prf_reads = prf_writes = cam = 0
+            for index in self.ready_positions(iq, cycle):
+                entry = iq[index]
+                if issued >= width:
+                    break
+                if squashed_from is not None and entry.seq >= squashed_from:
+                    break  # removed by a squash earlier this cycle
+                inst = entry.inst
+                if inst.is_load:
+                    pred = entry.sentinel_on
+                    if pred is not None:
+                        # Store-set dependence recorded at dispatch: wait
+                        # for the predicted store to resolve (or vanish in
+                        # a squash).
+                        if pred.issue_at is None and pred in sq:
+                            counters["storeset_blocks"] += 1.0
+                            continue
+                        entry.sentinel_on = None
+                if not take(inst.op):
+                    continue
+                picked.append(index)
+                issued += 1
+                left -= 1
+                entry.issue_at = cycle
+                if inst.is_load:
+                    self._execute_load(entry, cycle)
+                elif inst.is_store:
+                    entry.done_at = cycle + 1
+                    victim = self._store_resolved(entry, cycle)
+                    if victim is not None:
+                        # The squash kept the IQ's prefix older than the
+                        # victim, so the picked indices stay valid.
+                        squashed_from = victim
+                        left = sum(1 for e in self.iq if e.issue_at is None)
+                else:
+                    entry.done_at = cycle + inst.latency
+                if tracer is not None:
+                    self.trace_issue(entry, cycle)
+                if inst.is_branch:
+                    self.resolve_branch_if_gating(entry)
+                self._schedule_wakeup(entry)
+                prf_reads += len(inst.srcs)
+                if inst.dst is not None:
+                    prf_writes += 1
+                # Completion broadcasts the dest tag across the IQ CAM.
+                cam += left
+            if issued:
+                iq = self.iq
+                for index in reversed(picked):
+                    del iq[index]
+                counters["issued"] += issued
+                counters["prf_reads"] += prf_reads
+                counters["prf_writes"] += prf_writes
+                counters["iq_wakeup_cam"] += cam
+        fq = self.fetch.queue
+        if fq and fq[0].ready_at <= cycle:
+            self._dispatch(cycle)
 
     # -- commit -----------------------------------------------------------------
 
     def _commit(self, cycle: int) -> None:
-        committed = 0
-        while (self.rob and committed < self.cfg.width
-               and self.rob[0].done_at is not None
-               and self.rob[0].done_at <= cycle):
-            entry = self.rob[0]
+        rob = self.rob
+        width = self.cfg.width
+        nolq = self.nolq
+        note_commit = self.note_commit
+        committed = freed = lq_reads = 0
+        while rob and committed < width:
+            entry = rob[0]
+            done = entry.done_at
+            if done is None or done > cycle:
+                break
             inst = entry.inst
-            if inst.is_load and self.nolq:
-                # On-commit value-check: re-search the SB up to the oldest
-                # store that was unresolved at issue time.
-                if entry.unresolved_older:
-                    self.stats.add("sq_searches")
-                    if any(s.inst.overlaps(inst)
-                           for s in entry.unresolved_older):
-                        self.stats.add("mem_order_violations")
-                        if self.tracer is not None:
-                            self.tracer.emit("storeset_violation", cycle,
-                                             entry.seq,
-                                             mechanism="value_check")
-                        self._squash(entry.seq, cycle)
-                        return
-            elif inst.is_load:
-                self.lq.remove(entry)
-                self.stats.add("lq_reads")
-            self.rob.popleft()
+            if inst.is_load:
+                if nolq:
+                    # On-commit value-check: re-search the SB up to the
+                    # oldest store that was unresolved at issue time.
+                    if entry.unresolved_older and self._value_check_fails(
+                            entry, cycle):
+                        break
+                else:
+                    # Loads commit in order: the head load is the LQ's
+                    # oldest entry.
+                    self.lq.popleft()
+                    lq_reads += 1
+            rob.popleft()
             if inst.is_store:
                 # Enters the SB part; the write-allocate fill starts now.
                 self.start_store_fill(entry, cycle)
-            if inst.dst is not None:
-                self._free_reg(inst.dst)
-            self.note_commit(entry, cycle)
-            self.stats.counters["rob_reads"] += 1.0
+            dst = inst.dst
+            if dst is not None:
+                if dst >= NUM_INT_ARCH:
+                    self.free_fp += 1
+                else:
+                    self.free_int += 1
+                freed += 1
+            note_commit(entry, cycle)
             committed += 1
+        counters = self.stats.counters
+        if lq_reads:
+            counters["lq_reads"] += lq_reads
+        if freed:
+            counters["freelist_ops"] += freed
+        if committed:
+            counters["rob_reads"] += committed
+
+    def _value_check_fails(self, entry: InflightInst, cycle: int) -> bool:
+        """NoLQ commit-time value check of a load; squashes from the load
+        on a mismatch."""
+        counters = self.stats.counters
+        counters["sq_searches"] += 1.0
+        inst = entry.inst
+        if not any(s.inst.overlaps(inst) for s in entry.unresolved_older):
+            return False
+        counters["mem_order_violations"] += 1.0
+        if self.tracer is not None:
+            self.tracer.emit("storeset_violation", cycle, entry.seq,
+                             mechanism="value_check")
+        self._squash(entry.seq, cycle)
+        return True
 
     def _free_reg(self, dst: int) -> None:
         if dst >= NUM_INT_ARCH:
@@ -169,114 +271,79 @@ class OutOfOrderCore(CoreModel):
             self.free_int += 1
         self.stats.counters["freelist_ops"] += 1.0
 
-    # -- issue (wakeup / select) -------------------------------------------------
-
-    def _issue(self, cycle: int) -> None:
-        if not self.iq:
-            return
-        counters = self.stats.counters
-        counters["iq_select"] += 1.0
-        candidates = [e for e in self.iq if e.ready(cycle)]
-        candidates.sort(key=lambda e: e.seq)  # oldest-first age matrix
-        issued = 0
-        for entry in candidates:
-            if issued >= self.cfg.width:
-                break
-            if entry not in self.iq:
-                continue  # removed by a squash triggered earlier this cycle
-            inst = entry.inst
-            if inst.is_load and entry.sentinel_on is not None:
-                # Store-set dependence recorded at dispatch: wait for the
-                # predicted store to resolve (or vanish in a squash).
-                pred = entry.sentinel_on
-                if pred.issue_at is None and pred in self.sq:
-                    counters["storeset_blocks"] += 1.0
-                    continue
-                entry.sentinel_on = None
-            if not self.fu.take(inst.op):
-                continue
-            self.iq.remove(entry)
-            self._execute(entry, cycle)
-            issued += 1
-            counters["issued"] += 1.0
-            counters["prf_reads"] += float(len(inst.srcs))
-            counters["prf_writes"] += 1.0 if inst.dst is not None else 0.0
-            # Completion broadcasts the dest tag across the IQ CAM.
-            counters["iq_wakeup_cam"] += float(len(self.iq))
-
-    def _execute(self, entry: InflightInst, cycle: int) -> None:
-        inst = entry.inst
-        entry.issue_at = cycle
-        if inst.is_load:
-            self._execute_load(entry, cycle)
-        elif inst.is_store:
-            entry.done_at = cycle + 1
-            self._store_resolved(entry, cycle)
-        else:
-            entry.done_at = cycle + inst.latency
-        if self.tracer is not None:
-            self.trace_issue(entry, cycle)
-        self.resolve_branch_if_gating(entry)
-        self._schedule_wakeup(entry)
-
     def _execute_load(self, entry: InflightInst, cycle: int) -> None:
-        # Forwarding search over the unified SQ/SB.
-        self.stats.add("sq_searches")
+        # Forwarding search over the unified SQ/SB, which is in program
+        # order: the last resolved, overlapping older store is the
+        # youngest one.
+        counters = self.stats.counters
+        counters["sq_searches"] += 1.0
+        seq = entry.seq
+        inst = entry.inst
+        forward = None
+        unresolved = []
+        for store in self.sq:
+            if store.seq >= seq:
+                break
+            if store.issue_at is None:
+                unresolved.append(store)
+            elif store.inst.overlaps(inst):
+                forward = store
         if self.nolq:
             # On-commit value-check (Figure 9's OoO+NoLQ variant): snapshot
             # the unresolved older stores instead of entering the LQ.
-            entry.unresolved_older = [
-                s for s in self.sq
-                if s.seq < entry.seq and s.issue_at is None]
+            if forward is not None:
+                unresolved = [s for s in unresolved if s.seq > forward.seq]
+            entry.unresolved_older = unresolved
         else:
-            self.stats.add("lq_writes")
-        forward = None
-        for store in self.sq:
-            if (store.seq < entry.seq and store.resolved
-                    and store.inst.overlaps(entry.inst)):
-                if forward is None or store.seq > forward.seq:
-                    forward = store
-        if self.nolq and forward is not None:
-            entry.unresolved_older = [s for s in entry.unresolved_older
-                                      if s.seq > forward.seq]
+            counters["lq_writes"] += 1.0
         entry.forward_store = forward
         if forward is not None:
             entry.done_at = cycle + 2
-            self.stats.add("stl_forwards")
+            counters["stl_forwards"] += 1.0
         else:
             entry.done_at = cycle + self.load_latency(entry, cycle)
 
-    def _store_resolved(self, store: InflightInst, cycle: int) -> None:
-        """A store's address resolved: search the LQ for violations."""
+    def _store_resolved(self, store: InflightInst,
+                        cycle: int) -> Optional[int]:
+        """A store's address resolved: search the LQ for violations.
+        Returns the sequence number squashed from, or ``None``."""
         if self.store_sets is not None:
             sid = self.store_sets.ssit.get(store.inst.pc)
             if sid is not None and self.store_sets.lfst.get(sid) is store:
                 del self.store_sets.lfst[sid]
         if self.nolq:
-            return  # violations are found by the loads at commit
-        self.stats.add("lq_searches")
+            return None  # violations are found by the loads at commit
+        self.stats.counters["lq_searches"] += 1.0
+        seq = store.seq
+        sinst = store.inst
+        # The LQ is in program order: the first issued, overlapping younger
+        # load that did not forward from this store or a younger one is
+        # the oldest violator.
         victim = None
         for load in self.lq:
-            if (load.seq > store.seq and load.issue_at is not None
-                    and load.inst.overlaps(store.inst)):
+            if (load.seq > seq and load.issue_at is not None
+                    and load.inst.overlaps(sinst)):
                 source = load.forward_store
-                if source is None or source.seq < store.seq:
-                    if victim is None or load.seq < victim.seq:
-                        victim = load
-        if victim is not None:
-            self.stats.add("mem_order_violations")
-            if self.tracer is not None:
-                self.tracer.emit("storeset_violation", cycle, victim.seq,
-                                 mechanism="lq_search", store=store.seq)
-            if self.store_sets is not None:
-                self.store_sets.on_violation(store.inst.pc, victim.inst.pc)
-            self._squash(victim.seq, cycle)
+                if source is None or source.seq < seq:
+                    victim = load
+                    break
+        if victim is None:
+            return None
+        self.stats.counters["mem_order_violations"] += 1.0
+        if self.tracer is not None:
+            self.tracer.emit("storeset_violation", cycle, victim.seq,
+                             mechanism="lq_search", store=seq)
+        if self.store_sets is not None:
+            self.store_sets.on_violation(sinst.pc, victim.inst.pc)
+        self._squash(victim.seq, cycle)
+        return victim.seq
 
     # -- squash ------------------------------------------------------------------
 
     def _squash(self, from_seq: int, cycle: int) -> None:
         self.iq = [e for e in self.iq if e.seq < from_seq]
-        self.lq = [e for e in self.lq if e.seq < from_seq]
+        while self.lq and self.lq[-1].seq >= from_seq:
+            self.lq.pop()
         while self.sq and self.sq[-1].seq >= from_seq:
             self.sq.pop()
         while self.rob and self.rob[-1].seq >= from_seq:
@@ -290,89 +357,113 @@ class OutOfOrderCore(CoreModel):
     # -- dispatch (rename + allocate) ----------------------------------------------
 
     def _dispatch(self, cycle: int) -> None:
-        dispatched = 0
+        cfg = self.cfg
+        width = cfg.width
+        fq = self.fetch.queue
+        rob, iq, lq, sq = self.rob, self.iq, self.lq, self.sq
+        nolq = self.nolq
+        store_sets = self.store_sets
+        make_entry = self.make_entry
         counters = self.stats.counters
-        while dispatched < self.cfg.width:
-            inst = self.fetch.peek_ready(cycle)
-            if inst is None:
+        # Free slots at the start of the cycle; this cycle's dispatches
+        # are counted off them below.
+        window_free = cfg.rob_size - len(rob)
+        if cfg.iq_size - len(iq) < window_free:
+            window_free = cfg.iq_size - len(iq)
+        lq_free = cfg.lq_size - len(lq)
+        sq_free = cfg.sq_sb_size - len(sq)
+        dispatched = rat_reads = rat_writes = sq_writes = 0
+        while dispatched < width and fq:
+            head = fq[0]
+            if head.ready_at > cycle:
                 break
-            if len(self.rob) >= self.cfg.rob_size or len(self.iq) >= self.cfg.iq_size:
-                self.stats.add("dispatch_stall_window")
+            inst = head.inst
+            if dispatched >= window_free:
+                counters["dispatch_stall_window"] += 1.0
                 break
-            if (inst.is_load and not self.nolq
-                    and len(self.lq) >= self.cfg.lq_size):
-                self.stats.add("dispatch_stall_lq")
+            if inst.is_load and not nolq and lq_free <= 0:
+                counters["dispatch_stall_lq"] += 1.0
                 break
-            if inst.is_store and len(self.sq) >= self.cfg.sq_sb_size:
-                self.stats.add("dispatch_stall_sq")
+            if inst.is_store and sq_free <= 0:
+                counters["dispatch_stall_sq"] += 1.0
                 break
-            if inst.dst is not None and not self._alloc_reg(inst.dst):
-                self.stats.add("dispatch_stall_prf")
-                break
-            self.fetch.pop_ready(cycle, 1)
-            entry = self.make_entry(inst)
-            entry.fresh_phys = inst.dst is not None
-            counters["rat_reads"] += float(len(inst.srcs))
-            if inst.dst is not None:
-                counters["rat_writes"] += 1.0
-            self.iq.append(entry)
-            self.rob.append(entry)
-            counters["rob_writes"] += 1.0
-            counters["iq_writes"] += 1.0
-            if inst.is_load and not self.nolq:
-                self.lq.append(entry)
-            if inst.is_load and self.store_sets is not None:
-                entry.sentinel_on = self.store_sets.predicted_store(entry)
-            if inst.is_store:
-                self.sq.append(entry)
-                self.stats.add("sq_writes")
-                if self.store_sets is not None:
-                    self.store_sets.store_dispatched(entry)
+            dst = inst.dst
+            if dst is not None:
+                if dst >= NUM_INT_ARCH:
+                    if self.free_fp <= 0:
+                        counters["dispatch_stall_prf"] += 1.0
+                        break
+                    self.free_fp -= 1
+                else:
+                    if self.free_int <= 0:
+                        counters["dispatch_stall_prf"] += 1.0
+                        break
+                    self.free_int -= 1
+                rat_writes += 1
+            fq.popleft()
+            entry = make_entry(inst)
+            entry.fresh_phys = dst is not None
+            rat_reads += len(inst.srcs)
+            iq.append(entry)
+            rob.append(entry)
+            if inst.is_load:
+                if not nolq:
+                    lq.append(entry)
+                    lq_free -= 1
+                if store_sets is not None:
+                    entry.sentinel_on = store_sets.predicted_store(entry)
+            elif inst.is_store:
+                sq.append(entry)
+                sq_free -= 1
+                sq_writes += 1
+                if store_sets is not None:
+                    store_sets.store_dispatched(entry)
             dispatched += 1
-            counters["dispatched"] += 1.0
-
-    def _alloc_reg(self, dst: int) -> bool:
-        if dst >= NUM_INT_ARCH:
-            if self.free_fp <= 0:
-                return False
-            self.free_fp -= 1
-        else:
-            if self.free_int <= 0:
-                return False
-            self.free_int -= 1
-        self.stats.counters["freelist_ops"] += 1.0
-        return True
+        if dispatched:
+            # Renaming one destination is one free-list pop and one RAT
+            # write.
+            counters["rat_reads"] += rat_reads
+            if rat_writes:
+                counters["freelist_ops"] += rat_writes
+                counters["rat_writes"] += rat_writes
+            counters["rob_writes"] += dispatched
+            counters["iq_writes"] += dispatched
+            if sq_writes:
+                counters["sq_writes"] += sq_writes
+            counters["dispatched"] += dispatched
 
     def _can_alloc(self, dst: int) -> bool:
-        """Read-only twin of ``_alloc_reg`` for the fast-forward check."""
+        """Read-only twin of dispatch's register allocation, for the
+        fast-forward check."""
         return (self.free_fp if dst >= NUM_INT_ARCH else self.free_int) > 0
 
     # -- event-driven fast forward --------------------------------------------
 
     def _next_event_cycle(self, cycle: int):
-        rates = {}
         cand = []
-        cfg = self.cfg
-        if self.sq and self.sq[0].committed:
-            head = self.sq[0]
-            if head.fill_ready is not None and head.fill_ready > cycle:
-                cand.append(head.fill_ready)
+        sq = self.sq
+        if sq and sq[0].committed:
+            fill = sq[0].fill_ready
+            if fill is not None and fill > cycle:
+                cand.append(fill)
             else:
                 return None  # SB head retires
-        if self.rob:
-            head = self.rob[0]
-            if head.done_at is not None and head.done_at <= cycle:
+        rob = self.rob
+        if rob:
+            done = rob[0].done_at
+            if done is not None and done <= cycle:
                 return None  # commits (or value-check squashes) this cycle
-        if self.iq:
+        rates = {}
+        iq = self.iq
+        if iq:
             rates["iq_select"] = 1
             blocks = 0
-            for entry in self.iq:
-                if not entry.ready(cycle):
-                    continue
+            for index in self.ready_positions(iq, cycle):
+                entry = iq[index]
                 inst = entry.inst
                 if inst.is_load and entry.sentinel_on is not None:
                     pred = entry.sentinel_on
-                    if pred.issue_at is None and pred in self.sq:
+                    if pred.issue_at is None and pred in sq:
                         blocks += 1
                         continue
                     return None  # clearing the stale sentinel mutates state
@@ -386,14 +477,14 @@ class OutOfOrderCore(CoreModel):
             if fhead.ready_at > cycle:
                 cand.append(fhead.ready_at)
             else:
+                cfg = self.cfg
                 inst = fhead.inst
-                if (len(self.rob) >= cfg.rob_size
-                        or len(self.iq) >= cfg.iq_size):
+                if len(rob) >= cfg.rob_size or len(iq) >= cfg.iq_size:
                     rates["dispatch_stall_window"] = 1
                 elif (inst.is_load and not self.nolq
                         and len(self.lq) >= cfg.lq_size):
                     rates["dispatch_stall_lq"] = 1
-                elif inst.is_store and len(self.sq) >= cfg.sq_sb_size:
+                elif inst.is_store and len(sq) >= cfg.sq_sb_size:
                     rates["dispatch_stall_sq"] = 1
                 elif inst.dst is not None and not self._can_alloc(inst.dst):
                     rates["dispatch_stall_prf"] = 1

@@ -65,99 +65,130 @@ class SpecInOCore(CoreModel):
         return None
 
     def _step(self, cycle: int) -> None:
-        self._retire_stores(cycle)
-        self._commit(cycle)
-        budget = self.cfg.width
-        budget = self._issue_head(cycle, budget)
-        self._issue_window(cycle, budget)
-        self._dispatch(cycle)
+        """One cycle: SB retirement, commit, in-order head issue, the
+        speculative window, dispatch.
 
-    # -- store buffer (same as the InO baseline) --------------------------------
+        Store retirement runs inline; commit, issue and dispatch (the
+        self-profiler's scopes) are called only when they can make
+        progress, and work on hoisted locals.
+        """
+        counters = self.stats.counters
+        sb = self.sb
+        # -- store buffer (same as the InO baseline) ----------------------------
+        if sb:
+            fill = sb[0].fill_ready
+            if (fill is not None and fill <= cycle
+                    and self.fu.take_store_port()):
+                sb.popleft()
+                counters["sb_retires"] += 1.0
+        window = self.window
+        if window:
+            head = window[0]
+            done = head.done_at
+            if (head.seq == self.next_commit and done is not None
+                    and done <= cycle):
+                self._commit(cycle)
+        iq = self.iq
+        if iq:
+            self._issue(cycle)
+        fq = self.fetch.queue
+        if fq and fq[0].ready_at <= cycle:
+            self._dispatch(cycle)
 
-    def _retire_stores(self, cycle: int) -> None:
-        if not self.sb:
-            return
-        head = self.sb[0]
-        if not self.store_fill_arrived(head, cycle):
-            return
-        if not self.fu.take_store_port():
-            return
-        self.sb.popleft()
-        self.stats.add("sb_retires")
-
-    def _commit(self, cycle: int) -> None:
-        committed = 0
-        while (self.window and committed < self.cfg.width
-               and self.window[0].seq == self.next_commit
-               and self.window[0].done_at is not None
-               and self.window[0].done_at <= cycle):
-            entry = self.window[0]
-            if entry.inst.is_store:
-                if len(self.sb) >= self.cfg.sq_sb_size:
-                    break
-                self.sb.append(entry)
-                self.start_store_fill(entry, cycle)
-            del self.window[0]
-            self.next_commit = entry.seq + 1
-            self.note_commit(entry, cycle)
-            committed += 1
-
-    # -- in-order head issue ------------------------------------------------------
-
-    def _issue_head(self, cycle: int, budget: int) -> int:
-        while budget > 0 and self.iq:
-            entry = self.iq[0]
+    def _issue(self, cycle: int) -> None:
+        """In-order head issue, then the speculative sliding window,
+        sharing the machine width."""
+        counters = self.stats.counters
+        iq = self.iq
+        window = self.window
+        cfg = self.cfg
+        rob_size = cfg.rob_size
+        poll = self.poll_ready
+        take = self.fu.take
+        execute = self._execute
+        budget = cfg.width
+        spec_pos = self.spec_pos
+        # -- in-order head issue ----------------------------------------------
+        issued = 0
+        while budget > 0 and iq:
+            entry = iq[0]
             if entry.issue_at is not None:
                 # Already issued speculatively; just drain it.
-                self.iq.popleft()
-                self._slide_on_pop()
+                iq.popleft()
+                if spec_pos > 1:
+                    spec_pos -= 1
                 continue
-            if not entry.ready(cycle):
+            if entry.n_pending and (not poll or not entry.ready(cycle)):
                 break
-            if len(self.window) >= self.cfg.rob_size:
+            if len(window) >= rob_size:
                 break
-            if not self.fu.take(entry.inst.op):
+            if not take(entry.inst.op):
                 break
-            self.iq.popleft()
-            self._slide_on_pop()
-            self._execute(entry, cycle)
-            self.stats.add("issued_head")
+            iq.popleft()
+            if spec_pos > 1:
+                spec_pos -= 1
+            execute(entry, cycle)
+            issued += 1
             budget -= 1
-        return budget
+        if issued:
+            counters["issued_head"] += issued
+        # -- speculative sliding window ---------------------------------------
+        n_iq = len(iq)
+        if n_iq > 1:
+            if spec_pos > n_iq - 1:
+                spec_pos = n_iq - 1
+            mem_ok = cfg.specino_mem
+            issued = 0
+            end = spec_pos + cfg.specino_ws
+            for index in range(spec_pos, end if end < n_iq else n_iq):
+                if budget <= 0:
+                    break
+                entry = iq[index]
+                if entry.issue_at is not None:
+                    continue
+                inst = entry.inst
+                if inst.is_mem and not mem_ok:
+                    continue
+                if entry.n_pending and (not poll or not entry.ready(cycle)):
+                    continue
+                if len(window) >= rob_size:
+                    break
+                if not take(inst.op):
+                    continue
+                execute(entry, cycle)
+                issued += 1
+                budget -= 1
+            if issued:
+                counters["issued_spec"] += issued
+            else:
+                # Slide toward younger entries, saturating at the tail.
+                spec_pos += cfg.specino_so
+                if spec_pos > n_iq - 1:
+                    spec_pos = n_iq - 1
+        self.spec_pos = spec_pos
 
-    def _slide_on_pop(self) -> None:
-        self.spec_pos = max(1, self.spec_pos - 1)
-
-    # -- speculative sliding window -------------------------------------------------
-
-    def _issue_window(self, cycle: int, budget: int) -> None:
-        cfg = self.cfg
-        if len(self.iq) <= 1:
-            return
-        self.spec_pos = min(self.spec_pos, len(self.iq) - 1)
-        issued_any = False
-        end = min(self.spec_pos + cfg.specino_ws, len(self.iq))
-        for index in range(self.spec_pos, end):
-            if budget <= 0:
+    def _commit(self, cycle: int) -> None:
+        window = self.window
+        sb = self.sb
+        sb_size = self.cfg.sq_sb_size
+        width = self.cfg.width
+        note_commit = self.note_commit
+        committed = 0
+        while window and committed < width:
+            entry = window[0]
+            done = entry.done_at
+            if (entry.seq != self.next_commit or done is None
+                    or done > cycle):
                 break
-            entry = self.iq[index]
-            if entry.issue_at is not None:
-                continue
-            if entry.inst.is_mem and not cfg.specino_mem:
-                continue
-            if not entry.ready(cycle):
-                continue
-            if len(self.window) >= cfg.rob_size:
-                break
-            if not self.fu.take(entry.inst.op):
-                continue
-            self._execute(entry, cycle)
-            self.stats.add("issued_spec")
-            issued_any = True
-            budget -= 1
-        if not issued_any:
-            self.spec_pos = min(self.spec_pos + cfg.specino_so,
-                                max(1, len(self.iq) - 1))
+            if entry.inst.is_store:
+                if len(sb) >= sb_size:
+                    break
+                sb.append(entry)
+                self.start_store_fill(entry, cycle)
+            del window[0]
+            self.next_commit = entry.seq + 1
+            note_commit(entry, cycle)
+            committed += 1
 
     # -- execution ---------------------------------------------------------------
 
@@ -165,12 +196,14 @@ class SpecInOCore(CoreModel):
         inst = entry.inst
         entry.issue_at = cycle
         # Insert in program order so the commit scan stays a head check.
-        pos = len(self.window)
-        while pos > 0 and self.window[pos - 1].seq > entry.seq:
+        window = self.window
+        seq = entry.seq
+        pos = len(window)
+        while pos > 0 and window[pos - 1].seq > seq:
             pos -= 1
-        self.window.insert(pos, entry)
+        window.insert(pos, entry)
         if inst.is_load:
-            forward = self._forwarding_store(entry)
+            forward = self._forwarding_store(entry, pos)
             if forward is not None:
                 entry.done_at = cycle + 2
                 entry.forward_store = forward
@@ -182,81 +215,103 @@ class SpecInOCore(CoreModel):
             entry.done_at = cycle + inst.latency
         if self.tracer is not None:
             self.trace_issue(entry, cycle)
-        self.resolve_branch_if_gating(entry)
+        if inst.is_branch:
+            self.resolve_branch_if_gating(entry)
         self._schedule_wakeup(entry)
 
-    def _forwarding_store(self, load: InflightInst) -> Optional[InflightInst]:
+    def _forwarding_store(self, load: InflightInst,
+                          pos: int) -> Optional[InflightInst]:
         """Oracle disambiguation: forward from the youngest older store
-        already resolved; unresolved older stores are ignored (ideal)."""
-        best = None
-        for store in self.window:
-            if (store.inst.is_store and store.seq < load.seq
-                    and store.inst.overlaps(load.inst)):
-                if best is None or store.seq > best.seq:
-                    best = store
-        for store in self.sb:
-            if store.inst.overlaps(load.inst):
-                if best is None or store.seq > best.seq:
-                    best = store
-        return best
+        already resolved; unresolved older stores are ignored (ideal).
+
+        ``pos`` is the load's index in the seq-ordered window, so the
+        youngest older store is the first overlapping one walking back
+        from there.  Buffered stores have committed, so they are older
+        than anything in the window and only matter when it has none.
+        """
+        window = self.window
+        inst = load.inst
+        while pos > 0:
+            pos -= 1
+            store = window[pos]
+            if store.inst.is_store and store.inst.overlaps(inst):
+                return store
+        for store in reversed(self.sb):
+            if store.inst.overlaps(inst):
+                return store
+        return None
 
     def _dispatch(self, cycle: int) -> None:
-        space = self.cfg.iq_size - len(self.iq)
-        for inst in self.fetch.pop_ready(cycle, min(space, self.cfg.width)):
-            self.iq.append(self.make_entry(inst))
-            self.stats.add("dispatched")
+        iq = self.iq
+        make_entry = self.make_entry
+        insts = self.fetch.pop_ready(
+            cycle, min(self.cfg.iq_size - len(iq), self.cfg.width))
+        for inst in insts:
+            iq.append(make_entry(inst))
+        if insts:
+            self.stats.counters["dispatched"] += len(insts)
 
     # -- event-driven fast forward --------------------------------------------
 
     def _next_event_cycle(self, cycle: int):
-        rates = {}
         cand = []
         cfg = self.cfg
-        if self.sb:
-            head = self.sb[0]
-            if head.fill_ready is not None and head.fill_ready > cycle:
-                cand.append(head.fill_ready)
+        sb = self.sb
+        if sb:
+            fill = sb[0].fill_ready
+            if fill is not None and fill > cycle:
+                cand.append(fill)
             else:
                 return None  # SB head retires
-        if self.window:
-            head = self.window[0]
-            if (head.seq == self.next_commit and head.done_at is not None
-                    and head.done_at <= cycle):
-                if not (head.inst.is_store
-                        and len(self.sb) >= cfg.sq_sb_size):
+        window = self.window
+        if window:
+            head = window[0]
+            done = head.done_at
+            if (head.seq == self.next_commit and done is not None
+                    and done <= cycle):
+                if not (head.inst.is_store and len(sb) >= cfg.sq_sb_size):
                     return None  # head would commit
                 # full SB blocks commit silently (no counter)
-        if self.iq:
-            head = self.iq[0]
+        iq = self.iq
+        n_iq = len(iq)
+        if iq:
+            poll = self.poll_ready
+            head = iq[0]
             if head.issue_at is not None:
                 return None  # drain pop (and spec_pos slide-back) mutates
-            if (head.ready(cycle) and len(self.window) < cfg.rob_size
+            if ((not head.n_pending or (poll and head.ready(cycle)))
+                    and len(window) < cfg.rob_size
                     and not self.fu.zero_capacity(head.inst.op)):
                 return None  # head would issue
-        if len(self.iq) > 1:
-            if self.spec_pos > len(self.iq) - 1:
-                return None  # window-start clamp mutates spec_pos
-            end = min(self.spec_pos + cfg.specino_ws, len(self.iq))
-            for index in range(self.spec_pos, end):
-                entry = self.iq[index]
-                if entry.issue_at is not None:
-                    continue
-                if entry.inst.is_mem and not cfg.specino_mem:
-                    continue
-                if not entry.ready(cycle):
-                    continue
-                if len(self.window) >= cfg.rob_size:
-                    break
-                if self.fu.zero_capacity(entry.inst.op):
-                    continue
-                return None  # a window entry would issue speculatively
-            if self.spec_pos != min(self.spec_pos + cfg.specino_so,
-                                    max(1, len(self.iq) - 1)):
-                return None  # the window would slide; only a saturated
-                # window position is a stable (skippable) state
-        if not self._dispatch_quiescent(cycle, cand,
-                                        cfg.iq_size - len(self.iq)):
+            if n_iq > 1:
+                spec_pos = self.spec_pos
+                last = n_iq - 1
+                if spec_pos > last:
+                    return None  # window-start clamp mutates spec_pos
+                slid = spec_pos + cfg.specino_so
+                if (slid if slid < last else last) != spec_pos:
+                    # Unless an entry issues, the window slides; only a
+                    # saturated window position is a stable (skippable)
+                    # state.
+                    return None
+                mem_ok = cfg.specino_mem
+                end = spec_pos + cfg.specino_ws
+                for index in range(spec_pos, end if end < n_iq else n_iq):
+                    entry = iq[index]
+                    if entry.issue_at is not None:
+                        continue
+                    if entry.inst.is_mem and not mem_ok:
+                        continue
+                    if entry.n_pending and (not poll
+                                            or not entry.ready(cycle)):
+                        continue
+                    if len(window) >= cfg.rob_size:
+                        break
+                    if self.fu.zero_capacity(entry.inst.op):
+                        continue
+                    return None  # a window entry would issue speculatively
+        if not self._dispatch_quiescent(cycle, cand, cfg.iq_size - n_iq):
             return None
         if not self._fetch_quiescent(cycle, cand):
             return None
-        return self._finish_hint(cand, rates)
+        return self._finish_hint(cand, {})

@@ -11,7 +11,9 @@ all models.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import compress, count
+from operator import attrgetter, not_
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.params import (
     BranchPredictorConfig,
@@ -28,6 +30,8 @@ from repro.memory.hierarchy import MemoryHierarchy
 #: Sentinel "no event scheduled" cycle: far enough out that the watchdog
 #: or cycle budget always clamps a fast-forward jump first.
 _FAR_FUTURE = 1 << 62
+
+_n_pending = attrgetter("n_pending")
 
 
 def _resolve_fast_forward(fast_forward) -> bool:
@@ -195,6 +199,16 @@ class CoreModel:
         # Integer mirror of stats.counters["committed"], so the hot loop's
         # warmup check avoids a dict lookup per cycle.
         self._committed = 0
+        #: Whether readiness needs the ``InflightInst.ready`` poll.  The
+        #: wakeup calendar keeps ``n_pending`` exact at ``_step`` time for
+        #: every entry built by :meth:`make_entry`; only a fault injector
+        #: moves a producer's ``done_at`` behind the calendar's back.  So
+        #: without one, ``n_pending == 0`` alone decides readiness.  (The
+        #: fast-forward evaluators run before the cycle's wakeups fire;
+        #: an entry the poll would find ready then has its last producer's
+        #: bucket at ``cycle`` on the calendar, which caps the hint at
+        #: ``cycle`` and so skips nothing.)
+        self.poll_ready = self.faults is not None
         # Fast-forward telemetry (plain attributes, not Stats counters:
         # counters must stay bit-identical with skipping on or off).
         self.ff_spans = 0
@@ -310,7 +324,11 @@ class CoreModel:
             return self.stats
         counters = self.stats.counters
         fu = self.fu
-        fetch_tick = self.fetch.tick
+        fetch = self.fetch
+        fetch_queue = fetch.queue
+        fetch_capacity = fetch.capacity
+        fetch_tick = fetch.tick
+        pipeline_empty = self.pipeline_empty
         acct = self.accounting
         slow_observers = (self.faults is not None or acct is not None
                           or self.sanitizer is not None
@@ -319,7 +337,8 @@ class CoreModel:
         fire_wakeups = self._fire_wakeups
         next_event_cycle = self._next_event_cycle
         try:
-            while not (self.fetch.drained and self.pipeline_empty()):
+            # A non-empty decode queue is the common "not drained" case.
+            while fetch_queue or not (fetch.drained and pipeline_empty()):
                 if skip_ok:
                     hint = next_event_cycle(cycle)
                     if hint is not None:
@@ -362,7 +381,8 @@ class CoreModel:
                     bucket = wakeup_cal.pop(cycle, None)
                     if bucket is not None:
                         fire_wakeups(bucket, cycle, wakeup_cal)
-                fu.reset()
+                if fu.claimed:
+                    fu.reset()
                 self._step(cycle)
                 if slow_observers:
                     if self.faults is not None:
@@ -373,7 +393,13 @@ class CoreModel:
                         self.sanitizer.check_cycle(self, cycle)
                     if self.sampler is not None:
                         self.sampler.on_cycle(self, cycle)
-                fetch_tick(cycle)
+                # A fetch gated on a mispredict or an I-cache refill, or
+                # with a full decode pipe, does nothing this cycle (tick's
+                # own first tests), so skip the call.
+                if (fetch.blocked_seq is None
+                        and cycle >= fetch.stalled_until
+                        and len(fetch_queue) < fetch_capacity):
+                    fetch_tick(cycle)
                 cycle += 1
                 if (warmup and warm_snapshot is None
                         and self._committed >= warmup):
@@ -464,6 +490,22 @@ class CoreModel:
         contains an outstanding miss), not to ``base``.  Read-only.
         """
         return None
+
+    def ready_positions(self, entries: Sequence[InflightInst],
+                        cycle: int) -> Iterator[int]:
+        """Positions of the ready entries of ``entries``, in order.
+
+        Without the poll (see :attr:`poll_ready`) readiness is
+        ``n_pending == 0``, tested lazily at C speed so waiting entries
+        cost no interpreted work; a caller may issue from ``entries``
+        while iterating, since issuing never readies anything within the
+        cycle.  With the poll, readiness is evaluated up front.
+        """
+        if self.poll_ready:
+            flags = [entry.ready(cycle) for entry in entries]
+        else:
+            flags = map(not_, map(_n_pending, entries))
+        return compress(count(), flags)
 
     # -- event-driven fast forward ---------------------------------------------
 
@@ -589,18 +631,18 @@ class CoreModel:
     def make_entry(self, inst: DynInst) -> InflightInst:
         """Wrap a dispatched instruction, wiring true register dependences
         from the program-order last-writer map."""
+        last_writer = self.last_writer
         producers = []
         for src in inst.srcs:
-            writer = self.last_writer.get(src)
+            writer = last_writer.get(src)
             if writer is not None:
                 producers.append(writer)
         entry = InflightInst(inst, producers)
-        entry.dispatch_at = self.cycle
+        cycle = entry.dispatch_at = self.cycle
         # Exact pending count + wakeup registration: producers already
         # complete by now never gate this entry; the rest decrement
         # n_pending when their calendar bucket fires.
         if producers:
-            cycle = self.cycle
             pending = 0
             for producer in producers:
                 done_at = producer.done_at
@@ -608,8 +650,9 @@ class CoreModel:
                     producer.waiters.append(entry)
                     pending += 1
             entry.n_pending = pending
-        if inst.dst is not None:
-            self.last_writer[inst.dst] = entry
+        dst = inst.dst
+        if dst is not None:
+            last_writer[dst] = entry
         if self.faults is not None:
             self.faults.on_entry(entry)
         if self.tracer is not None:

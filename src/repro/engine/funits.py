@@ -17,32 +17,24 @@ class FuPool:
         self.capacity = [cfg.n_alu, cfg.n_fpu, cfg.n_agu]
         self.free = list(self.capacity)
         self.store_port_free = True  # one L1D write port for retiring stores
-        # Units claimed since the last reset (issue ports + store port),
-        # so all_free() is one int compare in the run loop's pre-gate.
-        self._taken = 0
+        #: Units claimed since the last reset (issue ports + store port):
+        #: zero means the pool is pristine, so the run loop resets it only
+        #: after a cycle that claimed something.
+        self.claimed = 0
 
     def reset(self) -> None:
         """Start a new cycle: all units available again."""
-        if self._taken == 0:
+        if self.claimed == 0:
             return  # nothing issued last cycle: already pristine
         self.free[0] = self.capacity[0]
         self.free[1] = self.capacity[1]
         self.free[2] = self.capacity[2]
         self.store_port_free = True
-        self._taken = 0
+        self.claimed = 0
 
     def available(self, op: OpClass) -> bool:
         """Is a unit of the right type free this cycle?"""
         return self.free[FU_FOR_OP[op]] > 0
-
-    def all_free(self) -> bool:
-        """Was the previous cycle issue-free (pool still fully stocked)?
-
-        Cheap pre-gate for the fast-forward evaluators: a cycle that
-        consumed any issue port or the store port had activity, so the
-        next cycle starts from a state the evaluator need not analyse.
-        """
-        return self._taken == 0
 
     def zero_capacity(self, op: OpClass) -> bool:
         """True when ``op`` can *never* issue (no unit of its type exists).
@@ -56,7 +48,7 @@ class FuPool:
         if self.free[fu] <= 0:
             return False
         self.free[fu] -= 1
-        self._taken += 1
+        self.claimed += 1
         return True
 
     def take_store_port(self) -> bool:
@@ -64,5 +56,5 @@ class FuPool:
         if not self.store_port_free:
             return False
         self.store_port_free = False
-        self._taken += 1
+        self.claimed += 1
         return True

@@ -58,31 +58,43 @@ class FetchUnit:
         if self.blocked_seq is not None or cycle < self.stalled_until:
             return
         queue = self.queue
-        if len(queue) >= self.capacity:
+        room = self.capacity - len(queue)
+        if room <= 0:
             return  # decode pipe backed up: nothing can be fetched
-        fetched = 0
         width = self.cfg.width
-        frontend_latency = self.cfg.frontend_latency
+        if room > width:
+            room = width
+        ready_at = cycle + self.cfg.frontend_latency
         stream = self.stream
-        counters = self.stats.counters
-        while fetched < width and len(queue) < self.capacity:
-            inst = stream.peek()
-            if inst is None:
-                return
-            extra = self._icache(inst, cycle)
-            if extra > 0:
-                # I-cache miss: this instruction (and everything behind it)
-                # arrives after the fill.
-                self.stalled_until = cycle + extra
-                return
-            stream.fetch()
-            queue.append(FetchedInst(inst, cycle + frontend_latency))
-            fetched += 1
-            counters["fetched"] += 1.0
-            if inst.is_branch and self._predict(inst):
-                return  # mispredicted: gate fetch until resolution
-            if inst.is_branch and inst.taken:
-                return  # correctly-predicted taken branch ends the group
+        trace = stream.trace
+        cursor = stream.cursor
+        end = cursor + room
+        if end > len(trace):
+            end = len(trace)
+        fetched = 0
+        try:
+            while cursor < end:
+                inst = trace[cursor]
+                if inst.line != self._line:
+                    extra = self._icache(inst, cycle)
+                    if extra > 0:
+                        # I-cache miss: this instruction (and everything
+                        # behind it) arrives after the fill.
+                        self.stalled_until = cycle + extra
+                        return
+                cursor += 1
+                queue.append(FetchedInst(inst, ready_at))
+                fetched += 1
+                if inst.is_branch:
+                    if self._predict(inst):
+                        return  # mispredicted: gate fetch until resolution
+                    if inst.taken:
+                        return  # correctly-predicted taken branch ends
+                        # the group
+        finally:
+            stream.cursor = cursor
+            if fetched:
+                self.stats.counters["fetched"] += fetched
 
     def _icache(self, inst: DynInst, cycle: int) -> int:
         """Access the L1I when crossing into a new line; returns extra stall
@@ -151,4 +163,7 @@ class FetchUnit:
     @property
     def drained(self) -> bool:
         """True when no fetched-but-undispatched work remains."""
-        return not self.queue and self.stream.exhausted
+        if self.queue:
+            return False
+        stream = self.stream
+        return stream.cursor >= len(stream.trace)

@@ -112,34 +112,17 @@ class ResilientRunner(Runner):
                          trace_cache_entries=trace_cache_entries,
                          trace_store=trace_store)
         self.retries = retries
-        #: ``fault_hook(cfg, profile) -> Optional[FaultInjector]`` lets
-        #: tests (and chaos runs) perturb specific (core, app) pairs.
         self.fault_hook = fault_hook
         self.failures: List[FailureRecord] = []
         self.excluded: Set[str] = set()
 
     # -- simulation with capture -------------------------------------------------
 
-    def _simulate(self, cfg: CoreConfig,
-                  profile: WorkloadProfile) -> RunResult:
-        from repro.cores import build_core
-        core = build_core(cfg, self.mem_cfg)
-        faults = self.fault_hook(cfg, profile) if self.fault_hook else None
-        acct, sampler = self._observers()
-        stats = core.run(self.trace(profile), warmup=self.warmup,
-                         sanitize=self.sanitize, faults=faults,
-                         accounting=acct, sampler=sampler)
-        report = build_power_model(cfg).energy(stats)
-        return RunResult(core=cfg, app=profile.name, stats=stats,
-                         energy=report,
-                         accounting=acct.report() if acct else None,
-                         stalls=(sampler.stall_breakdown()
-                                 if sampler else None))
-
     def run(self, cfg: CoreConfig, profile: WorkloadProfile) -> RunResult:
         key = self._result_key(cfg, profile)
-        if key in self._results:
-            return self._results[key]
+        hit = self._cached(key, cfg)
+        if hit is not None:
+            return hit
         try:
             return super().run(cfg, profile)
         except SimulationError as exc:
@@ -155,10 +138,8 @@ class ResilientRunner(Runner):
                 continue
             # Re-badge under the original app name so figure aggregation
             # keys stay stable, and memoise under the original profile.
-            result = RunResult(core=cfg, app=profile.name,
-                               stats=retried.stats, energy=retried.energy,
-                               accounting=retried.accounting,
-                               stalls=retried.stalls)
+            result = dataclasses.replace(retried, core=cfg,
+                                         app=profile.name)
             self._results[key] = result
             return result
         self.excluded.add(profile.name)

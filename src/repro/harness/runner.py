@@ -52,7 +52,13 @@ class RunResult:
 
 
 def _cfg_key(cfg: CoreConfig) -> str:
-    return repr(sorted(dataclasses.asdict(cfg).items()))
+    """The config's timing identity.  ``name`` is a label no core, power
+    model or memory model reads, so configs that differ only in name
+    share one cache entry (the sweep asks for the same machine under
+    several names)."""
+    return repr([(field.name, getattr(cfg, field.name))
+                 for field in dataclasses.fields(cfg)
+                 if field.name != "name"])
 
 
 def _mem_key(mem_cfg: Optional[MemoryConfig]) -> str:
@@ -105,6 +111,9 @@ class Runner:
         #: consulted on an in-process LRU miss, published to on generate,
         #: so pool workers share one generation of each (app, seed, n).
         self.trace_store = trace_store
+        #: ``fault_hook(cfg, profile) -> Optional[FaultInjector]`` lets
+        #: tests (and chaos runs) perturb specific (core, app) pairs.
+        self.fault_hook = None
         self._traces: "OrderedDict[str, list]" = OrderedDict()
         self._results: Dict[tuple, RunResult] = {}
 
@@ -147,14 +156,23 @@ class Runner:
         return (_cfg_key(cfg), _mem_key(self.mem_cfg), profile.name,
                 profile.seed, self.n_instrs, self.warmup)
 
+    def _cached(self, key: tuple, cfg: CoreConfig) -> Optional[RunResult]:
+        """The memoised result under ``key``, badged as ``cfg``'s (the
+        two configs may differ in ``name``)."""
+        hit = self._results.get(key)
+        if hit is None or hit.core.name == cfg.name:
+            return hit
+        return dataclasses.replace(hit, core=cfg)
+
     def _simulate(self, cfg: CoreConfig, profile: WorkloadProfile) -> RunResult:
-        """Uncached single simulation (the seam the resilience layer and
-        tests override to inject faults)."""
+        """Uncached single simulation (the seam tests override to inject
+        faults; ``fault_hook`` arms a fault injector per run)."""
         core = build_core(cfg, self.mem_cfg)
+        faults = self.fault_hook(cfg, profile) if self.fault_hook else None
         acct, sampler = self._observers()
         stats = core.run(self.trace(profile), warmup=self.warmup,
-                         sanitize=self.sanitize, accounting=acct,
-                         sampler=sampler)
+                         sanitize=self.sanitize, faults=faults,
+                         accounting=acct, sampler=sampler)
         report = build_power_model(cfg).energy(stats)
         return RunResult(core=cfg, app=profile.name, stats=stats,
                          energy=report,
@@ -167,8 +185,9 @@ class Runner:
     def run(self, cfg: CoreConfig, profile: WorkloadProfile) -> RunResult:
         """Simulate ``profile`` on ``cfg`` (cached)."""
         key = self._result_key(cfg, profile)
-        if key in self._results:
-            return self._results[key]
+        hit = self._cached(key, cfg)
+        if hit is not None:
+            return hit
         result = self._simulate(cfg, profile)
         self._results[key] = result
         return result

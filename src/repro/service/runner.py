@@ -147,8 +147,9 @@ class PooledRunner(ResilientRunner):
 
     def run(self, cfg: CoreConfig, profile: WorkloadProfile) -> RunResult:
         key = self._result_key(cfg, profile)
-        if key in self._results:
-            return self._results[key]
+        hit = self._cached(key, cfg)
+        if hit is not None:
+            return hit
         if self._collecting:
             self._wanted[key] = (cfg, profile)
             return _placeholder_result(cfg, profile, self.accounting)

@@ -63,6 +63,47 @@ def test_retry_with_reseed_recovers():
     assert f"mcf:{profile.seed + RESEED_STRIDE}:{N}" in runner._traces
 
 
+def test_resilient_runner_reports_fast_forward_telemetry(monkeypatch):
+    """ResilientRunner simulates through Runner._simulate, so it carries
+    the same fast-forward telemetry as a plain Runner."""
+    monkeypatch.delenv("REPRO_NO_SKIP", raising=False)
+    profile = get_profile("mcf")
+    plain = Runner(n_instrs=N, warmup=WARMUP).run(make_ooo_config(), profile)
+    resilient = ResilientRunner(n_instrs=N, warmup=WARMUP).run(
+        make_ooo_config(), profile)
+    assert plain.ff_spans > 0
+    assert resilient.ff_spans == plain.ff_spans
+    assert resilient.ff_skipped_cycles == plain.ff_skipped_cycles
+
+
+def test_reseeded_result_keeps_fast_forward_telemetry(monkeypatch):
+    monkeypatch.delenv("REPRO_NO_SKIP", raising=False)
+    profile = get_profile("mcf")
+    runner = ResilientRunner(
+        n_instrs=N, warmup=WARMUP, retries=1,
+        fault_hook=deadlock_hook(lambda cfg, p: p.seed == profile.seed))
+    result = runner.run(small_cfg(), profile)
+    variant = dataclasses.replace(profile,
+                                  seed=profile.seed + RESEED_STRIDE)
+    retried = runner.run(small_cfg(), variant)
+    assert result.app == "mcf" and retried.app == "mcf"
+    assert result.ff_spans == retried.ff_spans > 0
+    assert result.ff_skipped_cycles == retried.ff_skipped_cycles
+
+
+def test_renamed_failure_placeholder_is_shared():
+    """A failed placeholder serves every name of the same machine, badged
+    with the name asked for."""
+    runner = ResilientRunner(n_instrs=N, warmup=WARMUP, retries=0,
+                             fault_hook=deadlock_hook(lambda cfg, p: True))
+    profile = get_profile("hmmer")
+    first = runner.run(small_cfg(), profile)
+    again = runner.run(small_cfg(name="ooo-alias"), profile)
+    assert first.failed and again.failed
+    assert again.core.name == "ooo-alias"
+    assert len(runner.failures) == 1
+
+
 def test_permanent_failure_is_excluded():
     """When every attempt fails the app is excluded, a failed placeholder
     is cached, and the whole thing never raises."""

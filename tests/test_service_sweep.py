@@ -1,6 +1,8 @@
 """Acceptance: pooled figure sweeps match serial bit-for-bit and a
 warm-store rerun performs zero simulations."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.params import (
@@ -58,6 +60,20 @@ class TestPooledFigureParity:
             # submitted as one batch.
             assert pool.stats["submitted"] == len(CONFIGS) * len(profiles)
         assert not runner.failures and not runner.excluded
+
+    def test_collect_pass_submits_renamed_configs_once(self, profiles):
+        aliases = [dataclasses.replace(make_casino_config(), name=name)
+                   for name in ("casino", "ConD[32,14]", "nolq_osca")]
+
+        def figure(runner, profs):
+            return {(cfg.name, p.name): runner.run(cfg, p).core.name
+                    for cfg in aliases for p in profs}
+
+        with SimulationPool(n_workers=1) as pool:
+            runner = PooledRunner(pool, n_instrs=N, warmup=WARMUP)
+            badges = runner.run_figure(figure, profiles)
+            assert pool.stats["submitted"] == len(profiles)
+        assert all(name == badge for (name, _), badge in badges.items())
 
 
 class TestWarmStoreRerun:
