@@ -29,7 +29,9 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT / "src"))
+sys.path.insert(1, str(_ROOT))  # tests.chaos drives the cluster leg
 
 from repro.common.params import (  # noqa: E402
     make_casino_config,
@@ -171,10 +173,9 @@ def bench_submit_throughput(repeats: int, jobs: int = 250) -> dict:
     import gc
     import tempfile
 
+    from repro.service.cluster import ClusterService
     from repro.service.jobs import JobSpec
     from repro.service.journal import Journal
-    from repro.service.pool import SimulationPool
-    from repro.service.server import SimulationService
     from repro.service.store import ResultStore
 
     profile = get_profile("hmmer")
@@ -186,9 +187,8 @@ def bench_submit_throughput(repeats: int, jobs: int = 250) -> dict:
         store = ResultStore(Path(tmp) / "store")
         for spec in specs:
             store.put(spec.key(), {"schema": 1, "bench": True})
-        pool = SimulationPool(n_workers=1, store=store)
         for spec in specs:  # untimed warm pass (page cache, allocator)
-            SimulationService(pool, store).submit(spec)
+            ClusterService(store).submit(spec)
         for rep in range(repeats):
             legs = [("on", on_times), ("off", off_times)]
             if rep & 1:  # alternate order so neither leg always runs cold
@@ -198,7 +198,7 @@ def bench_submit_throughput(repeats: int, jobs: int = 250) -> dict:
                 if leg == "on":
                     journal = Journal(Path(tmp) / f"journal-{rep}",
                                       sync="batch")
-                service = SimulationService(pool, store, journal=journal)
+                service = ClusterService(store, journal=journal)
                 gc.collect()
                 gc.disable()
                 try:
@@ -210,7 +210,6 @@ def bench_submit_throughput(repeats: int, jobs: int = 250) -> dict:
                     gc.enable()
                 if journal is not None:
                     journal.close()
-        pool.close()
     best_on = min(on_times)
     best_off = min(off_times)
     return {"jobs": jobs, "repeats": repeats,
@@ -232,9 +231,8 @@ def bench_telemetry_submit(repeats: int, jobs: int = 250) -> dict:
     import gc
     import tempfile
 
+    from repro.service.cluster import ClusterService
     from repro.service.jobs import JobSpec
-    from repro.service.pool import SimulationPool
-    from repro.service.server import SimulationService
     from repro.service.store import ResultStore
 
     profile = get_profile("hmmer")
@@ -246,17 +244,14 @@ def bench_telemetry_submit(repeats: int, jobs: int = 250) -> dict:
         store = ResultStore(Path(tmp) / "store")
         for spec in specs:
             store.put(spec.key(), {"schema": 1, "bench": True})
-        pool = SimulationPool(n_workers=1, store=store)
         for spec in specs:  # untimed warm pass (page cache, allocator)
-            SimulationService(pool, store, telemetry=False).submit(spec)
+            ClusterService(store, telemetry=False).submit(spec)
         for rep in range(repeats):
             legs = [("on", on_times), ("off", off_times)]
             if rep & 1:  # alternate order so neither leg always runs cold
                 legs.reverse()
             for leg, times in legs:
-                pool.on_event = None  # drop the previous leg's hook
-                service = SimulationService(pool, store,
-                                            telemetry=(leg == "on"))
+                service = ClusterService(store, telemetry=(leg == "on"))
                 gc.collect()
                 gc.disable()
                 try:
@@ -266,7 +261,6 @@ def bench_telemetry_submit(repeats: int, jobs: int = 250) -> dict:
                     times.append(time.perf_counter() - start)
                 finally:
                     gc.enable()
-        pool.close()
     best_on = min(on_times)
     best_off = min(off_times)
     return {"jobs": jobs, "repeats": repeats,
@@ -326,7 +320,7 @@ def bench_cluster_throughput(repeats: int, nodes: int = 2,
     import tempfile
     import threading
 
-    from repro.service.chaos import ClusterChaosFabric
+    from tests.chaos import ChaosFabric
     from repro.service.client import ServiceClient
     from repro.service.jobs import JobSpec
     from repro.service.pool import SimulationPool
@@ -367,7 +361,7 @@ def bench_cluster_throughput(repeats: int, nodes: int = 2,
 
     sweep = {}
     with tempfile.TemporaryDirectory() as tmp:
-        fabric = ClusterChaosFabric(tmp, node_workers=node_workers)
+        fabric = ChaosFabric(tmp, workers=0, node_workers=node_workers)
         fabric.start()
         try:
             for _ in range(nodes):

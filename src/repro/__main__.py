@@ -450,16 +450,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_serve(args) -> int:
     journal_sync = None if args.journal == "none" else args.journal
-    if args.role == "coordinator":
-        from repro.service.cluster.frontdoor import serve_coordinator
-        return serve_coordinator(host=args.host, port=args.port,
-                                 store_dir=args.store,
-                                 max_queue=args.queue_size,
-                                 journal_sync=journal_sync,
-                                 telemetry=not args.no_telemetry,
-                                 suspect_after_s=args.suspect_after,
-                                 dead_after_s=args.dead_after,
-                                 drain_timeout_s=args.drain_timeout)
     if args.role == "node":
         if not args.coordinator:
             print("error: --role node requires --coordinator URL",
@@ -469,14 +459,21 @@ def _cmd_serve(args) -> int:
         run_node(args.coordinator, args.store, node_id=args.node_id,
                  workers=args.workers or 1, job_timeout_s=args.timeout)
         return 0
-    from repro.service.server import serve
-    return serve(host=args.host, port=args.port, workers=args.workers,
-                 store_dir=args.store, max_queue=args.queue_size,
-                 timeout=args.timeout,
-                 drain_timeout_s=args.drain_timeout,
-                 journal_sync=journal_sync,
-                 telemetry=not args.no_telemetry,
-                 stats_interval=args.stats_interval)
+    # 'single' and 'coordinator' differ only in the local node.
+    from repro.service.cluster.frontdoor import serve_coordinator
+    workers = None if args.workers is None else max(1, args.workers)
+    return serve_coordinator(host=args.host, port=args.port,
+                             store_dir=args.store,
+                             max_queue=args.queue_size,
+                             journal_sync=journal_sync,
+                             telemetry=not args.no_telemetry,
+                             suspect_after_s=args.suspect_after,
+                             dead_after_s=args.dead_after,
+                             drain_timeout_s=args.drain_timeout,
+                             workers=0 if args.role == "coordinator"
+                             else workers,
+                             timeout=args.timeout,
+                             stats_interval=args.stats_interval)
 
 
 def _cmd_store(args) -> int:
@@ -687,10 +684,11 @@ def main(argv=None) -> int:
         "serve", help="run the simulation service (HTTP JSON API)")
     serve_p.add_argument("--role", choices=["single", "coordinator", "node"],
                          default="single",
-                         help="'single' = self-contained service (default); "
-                              "'coordinator' = cluster front door + job "
-                              "registry (no local workers); 'node' = worker "
-                              "agent pulling leases from --coordinator")
+                         help="'single' = job service with an in-process "
+                              "node of --workers pool workers (default); "
+                              "'coordinator' = the same service without "
+                              "the local node; 'node' = worker agent "
+                              "pulling leases from --coordinator")
     serve_p.add_argument("--coordinator", metavar="URL", default=None,
                          help="coordinator base URL (required for "
                               "--role node)")

@@ -14,8 +14,10 @@ serving stack:
   to serial execution when workers die.
 * :mod:`repro.service.runner` — a ``ResilientRunner`` that transparently
   routes simulations through the pool + store (used by the sweep driver).
-* :mod:`repro.service.server` — stdlib HTTP JSON API with a bounded
-  priority queue and explicit 429 backpressure.
+* :mod:`repro.service.cluster` — the job service behind ``repro
+  serve``: a coordinator (bounded priority queue, journal, explicit 429
+  backpressure) behind an asyncio HTTP JSON API, with worker nodes
+  pulling leases — in-process for a single box, remote for a cluster.
 * :mod:`repro.service.client` — ``urllib``-based client behind the
   ``python -m repro submit`` CLI verb.
 

@@ -1,12 +1,14 @@
-"""Coordinator state machine for the distributed simulation fabric.
+"""The job service: one coordinator state machine behind the front door.
 
-:class:`ClusterService` is the cluster-mode sibling of
-:class:`~repro.service.server.SimulationService`: the same job registry,
-bounded priority queue, write-ahead journal and telemetry plane — but
-instead of feeding a local multiprocessing pool, jobs are **leased to
-registered worker nodes** that pull work over HTTP (the transport lives
-in :mod:`~repro.service.cluster.frontdoor`; this module is pure state
-behind one lock, directly drivable by tests).
+:class:`ClusterService` owns the job registry, the bounded priority
+queue, the write-ahead journal and the telemetry plane.  Jobs are
+**leased to registered worker nodes** that pull work over HTTP (the
+transport lives in :mod:`~repro.service.cluster.frontdoor`; this module
+is pure state behind one lock, directly drivable by tests).
+``repro serve`` adds one in-process *local node*, run by the front
+door; this module sees only that node's worker pool
+(:attr:`ClusterService.pool`), for the ``/stats``, ``/metrics`` and
+``/healthz`` numbers.  ``--role coordinator`` has remote nodes only.
 
 Design points:
 
@@ -21,7 +23,7 @@ Design points:
   of hopping the fleet forever.
 * **Journal-backed redelivery** — every state transition is journaled
   before it is acknowledged (``leased`` records carry the node id), so
-  a coordinator crash recovers exactly like the single-process service:
+  a coordinator crash recovers from the journal alone:
   terminal jobs keep their state, store-hit jobs complete with zero
   re-simulation, everything else re-enters the queue.  Node leases do
   not survive a restart — but a node that finishes an orphaned job
@@ -36,8 +38,8 @@ Design points:
 * **Telemetry across the wire** — nodes attach span events (started /
   simulated / stored, stamped with the node id) and cumulative metric
   snapshots to their messages; the coordinator folds them into its
-  SpanLog and ``/metrics``, so cluster-mode observability is as
-  complete as single-process mode.
+  SpanLog and ``/metrics``, so a remote node is as observable as the
+  local one.
 """
 
 from __future__ import annotations
@@ -53,8 +55,6 @@ from repro.obs.telemetry import (MetricsRegistry, SpanLog, fold_spans,
                                  new_trace_id, render_prometheus)
 from repro.service.journal import TERMINAL_STATES, Journal, fold_jobs
 from repro.service.jobs import JobSpec
-from repro.service.server import (DEFAULT_PRIORITY, STATS_SCHEMA,
-                                  DrainingError, QueueFullError)
 from repro.service.store import (ResultStore, trace_key,
                                  trace_wire_record)
 
@@ -62,6 +62,28 @@ _LOG = get_logger("service.cluster")
 
 #: Node liveness states, in escalation order.
 NODE_STATES = ("alive", "suspect", "dead")
+
+#: Pool span events counted in ``repro_lease_events_total``.
+LEASE_EVENTS = ("lease_expired", "redelivered", "worker_died", "timeout")
+
+#: Node id of the in-process node ``repro serve`` runs.
+LOCAL_NODE_ID = "local"
+
+#: Priority used when a submission does not specify one.
+DEFAULT_PRIORITY = 100
+
+#: Version tag of the ``GET /stats`` payload.  Schema 2 namespaced the
+#: pool snapshot (``counters`` / ``trace`` / topology keys) and added
+#: the ``telemetry`` section.
+STATS_SCHEMA = 2
+
+
+class QueueFullError(Exception):
+    """The bounded submission queue is at capacity."""
+
+
+class DrainingError(Exception):
+    """The service is draining and accepts no new jobs."""
 
 
 class UnknownNodeError(Exception):
@@ -129,6 +151,9 @@ class ClusterService:
             "requeued": 0, "lost": 0,
         }
         self.scrub_report: Optional[dict] = None
+        #: Worker pool of the local node (node id ``LOCAL_NODE_ID``),
+        #: set by the front door that runs it; read for numbers only.
+        self.pool = None
         #: Front-door hooks (fired OUTSIDE the lock): a job turned
         #: terminal (wake its long-pollers) / work became leasable
         #: (wake parked lease requests) / a node changed state
@@ -204,12 +229,12 @@ class ClusterService:
     # -- recovery --------------------------------------------------------------
 
     def recover(self) -> None:
-        """Replay the journal (same contract as the single-process
-        service): terminal jobs keep their state, store-hit jobs
-        complete with zero re-simulation, the rest re-enter the queue.
-        Node leases never survive a restart — a ``leased`` job whose
-        node is gone is simply non-terminal and requeues; if its old
-        node still finishes it, the first completion wins."""
+        """Replay the journal: terminal jobs keep their state, store-hit
+        jobs complete with zero re-simulation (the store is the dedup
+        authority), the rest re-enter the queue.  Node leases never
+        survive a restart — a ``leased`` job whose node is gone requeues;
+        if its old node still finishes it, the first completion wins.
+        The journal is then compacted down to the live jobs."""
         assert self.journal is not None
         records = list(self.journal.records())
         folded = fold_jobs(records)
@@ -273,6 +298,7 @@ class ClusterService:
                          "spec": spec_dict, "priority": state["priority"],
                          "ts": state.get("ts"), "trace": state.get("trace")})
         if self.spans is not None:
+            # Spans of compacted jobs stay queryable as ``span`` records.
             requeued = {s["job"] for s in live}
             for job_id, span in self.spans.spans().items():
                 if job_id in requeued:
@@ -332,7 +358,6 @@ class ClusterService:
         now = round(time.time(), 6)
         if traced:
             spec.trace_id = trace
-        notify_enqueued = False
         with self._lock:
             self._seq += 1
             job_id = f"job-{self._seq}"
@@ -351,14 +376,10 @@ class ClusterService:
                 # computed this key for whichever client, it is done.
                 entry["status"] = "done"
                 entry["cached"] = True
+                del entry["spec"]  # only queued and leased jobs need it
                 self._jobs[job_id] = entry
                 self.counters["cached"] += 1
-                self._journal_append("submitted", job=job_id, key=key,
-                                     priority=priority, cached=True,
-                                     ts=now, trace=trace)
-                self._span(job_id, "submitted", trace=trace, ts=now,
-                           priority=priority)
-                self._span(job_id, "journaled", ts=now)
+                self._journal_submitted(entry, now, now, cached=True)
                 self._span(job_id, "store_hit", ts=now)
                 self._span(job_id, "completed", ts=now, cached=True)
                 if self.telemetry is not None:
@@ -376,12 +397,8 @@ class ClusterService:
                 self._jobs[job_id] = entry
                 self._attached.setdefault(primary, []).append(job_id)
                 self.counters["coalesced"] += 1
-                self._journal_append("submitted", job=job_id, key=key,
-                                     spec=dataclasses.asdict(spec),
-                                     priority=priority, ts=now, trace=trace)
-                self._span(job_id, "submitted", trace=trace, ts=now,
-                           priority=priority)
-                self._span(job_id, "journaled", ts=now)
+                self._journal_submitted(entry, now, now,
+                                        spec=dataclasses.asdict(spec))
                 self._span(job_id, "coalesced", ts=now, into=primary,
                            durable=True)
                 if self.telemetry is not None:
@@ -393,32 +410,36 @@ class ClusterService:
                     f"queue full ({self.max_queue} jobs); retry later")
             self._jobs[job_id] = entry
             self._inflight_keys[key] = job_id
-            # Journal *before* acknowledging: a crash after the 202 can
-            # never lose this job.
-            self._journal_append("submitted", job=job_id, key=key,
-                                 spec=dataclasses.asdict(spec),
-                                 priority=priority, ts=now, trace=trace)
-            self._span(job_id, "submitted", trace=trace, ts=now,
-                       priority=priority)
-            self._span(job_id, "journaled")
+            self._journal_submitted(entry, now, None,
+                                    spec=dataclasses.asdict(spec))
             self._push_queue(priority, job_id)
-            notify_enqueued = True
             public = self._public(entry)
-        if notify_enqueued and self.on_enqueued is not None:
-            try:
-                self.on_enqueued()
-            except Exception:
-                pass
+        self._fire_enqueued()
         return public
+
+    def _journal_submitted(self, entry: dict, ts: float,
+                           journaled_ts: Optional[float], **fields) -> None:
+        """Journal one submission *before* it is acknowledged (a crash
+        after the 202 can never lose it) and open its span."""
+        job_id, trace = entry["id"], entry.get("trace")
+        self._journal_append("submitted", job=job_id, key=entry["key"],
+                             priority=entry["priority"], ts=ts, trace=trace,
+                             **fields)
+        self._span(job_id, "submitted", trace=trace, ts=ts,
+                   priority=entry["priority"])
+        self._span(job_id, "journaled", ts=journaled_ts)
 
     # -- node side: registration, heartbeats, leases, completions --------------
 
     def register_node(self, node_id: str, capacity: int = 1,
-                      meta: Optional[dict] = None) -> dict:
+                      meta: Optional[dict] = None,
+                      workers: Optional[int] = None) -> dict:
         """(Re-)register a worker node.  Idempotent; a returning node
         (after a coordinator restart or its own) starts with a clean
         lease set — any jobs its previous incarnation held were either
-        reclaimed or will resolve via first-completion-wins."""
+        reclaimed or will resolve via first-completion-wins.  ``workers``
+        (live pool workers, default: capacity) is kept current by
+        heartbeats and lease requests."""
         now = time.monotonic()
         with self._lock:
             fresh = node_id not in self._nodes \
@@ -426,6 +447,7 @@ class ClusterService:
             self._nodes[node_id] = {
                 "id": node_id, "state": "alive",
                 "capacity": max(1, int(capacity)),
+                "workers": int(capacity if workers is None else workers),
                 "registered_at": round(time.time(), 6),
                 "last_hb": now,
                 "leased": set(), "completed": 0, "telemetry": None,
@@ -442,7 +464,8 @@ class ClusterService:
                 "dead_after_s": self.dead_after_s}
 
     def _touch_node(self, node_id: str,
-                    telemetry: Optional[dict] = None) -> dict:
+                    telemetry: Optional[dict] = None,
+                    workers: Optional[int] = None) -> dict:
         """Renew liveness for any authenticated node message (lock held).
         Raises :class:`UnknownNodeError` for unregistered/dead nodes."""
         node = self._nodes.get(node_id)
@@ -454,17 +477,21 @@ class ClusterService:
             self._fire_node_event(node_id, "recovered")
         if telemetry is not None:
             node["telemetry"] = telemetry
+        if workers is not None:
+            node["workers"] = int(workers)
         return node
 
     def heartbeat(self, node_id: str,
-                  telemetry: Optional[dict] = None) -> dict:
+                  telemetry: Optional[dict] = None,
+                  workers: Optional[int] = None) -> dict:
         with self._lock:
-            node = self._touch_node(node_id, telemetry)
+            node = self._touch_node(node_id, telemetry, workers)
             self.counters["heartbeats"] += 1
             return {"node": node_id, "state": node["state"],
                     "draining": self._draining}
 
-    def try_lease(self, node_id: str, max_jobs: int = 1) -> List[dict]:
+    def try_lease(self, node_id: str, max_jobs: int = 1,
+                  workers: Optional[int] = None) -> List[dict]:
         """Hand up to ``max_jobs`` queued jobs to ``node_id``.
 
         Returns wire-ready job dicts (id, key, spec, priority, attempt).
@@ -472,7 +499,7 @@ class ClusterService:
         with the node id before the jobs leave the building."""
         leases: List[dict] = []
         with self._lock:
-            node = self._touch_node(node_id)
+            node = self._touch_node(node_id, workers=workers)
             if self._draining:
                 return []
             while len(leases) < max(1, int(max_jobs)):
@@ -527,9 +554,11 @@ class ClusterService:
             status = self._record_status(record)
             if entry is not None:
                 key = entry.get("key") or key
-            if status == "done" and key is not None:
-                # Store write first (and always): the content-addressed
-                # store is the dedup authority for every later sweep.
+            if status == "done" and key is not None \
+                    and key not in self.store:
+                # Store write first: the content-addressed store is the
+                # dedup authority for every later sweep.  (The local
+                # node shares this store, so its results are in already.)
                 self.store.put(key, record)
             if entry is None or entry["status"] in TERMINAL_STATES:
                 self.counters["duplicate_completions"] += 1
@@ -546,6 +575,12 @@ class ClusterService:
                     attrs.setdefault("node", node_id)
                     self._span(job_id, ev["ev"], ts=ev.get("ts"),
                                durable=True, **attrs)
+                    if self.telemetry is not None \
+                            and ev["ev"] in LEASE_EVENTS:
+                        self.telemetry.counter(
+                            "repro_lease_events_total",
+                            "Lease reclaims, redeliveries and worker "
+                            "deaths by kind", event=ev["ev"]).inc()
             self._resolve(entry, status, record, now, node_id,
                           node_stored=node_stored)
             terminal_jobs.append(job_id)
@@ -579,6 +614,7 @@ class ClusterService:
         job_id = entry["id"]
         entry["status"] = status
         entry.pop("node", None)
+        entry.pop("spec", None)
         key = entry.get("key")
         if key is not None and self._inflight_keys.get(key) == job_id:
             del self._inflight_keys[key]
@@ -650,11 +686,8 @@ class ClusterService:
                     events.append((node_id, "suspect"))
         for node_id, event in events:
             self._fire_node_event(node_id, event)
-        if notify_enqueued and self.on_enqueued is not None:
-            try:
-                self.on_enqueued()
-            except Exception:
-                pass
+        if notify_enqueued:
+            self._fire_enqueued()
         self._fire_terminal(terminal_jobs)
 
     def _reclaim_leases(self, node: dict, node_id: str):
@@ -697,6 +730,13 @@ class ClusterService:
             except Exception:
                 pass
 
+    def _fire_enqueued(self) -> None:
+        if self.on_enqueued is not None:
+            try:
+                self.on_enqueued()
+            except Exception:
+                pass
+
     def _fire_node_event(self, node_id: str, event: str) -> None:
         if self.on_node_event is None:
             return
@@ -735,6 +775,7 @@ class ClusterService:
             return [{"node": node["id"], "state": node["state"],
                      "capacity": node["capacity"],
                      "last_heartbeat_age_s": round(now - node["last_hb"], 3),
+                     "workers": node["workers"],
                      "leased": len(node["leased"]),
                      "completed": node["completed"]}
                     for node in self._nodes.values()]
@@ -788,11 +829,32 @@ class ClusterService:
                 spans=len(self.spans),
                 nodes_reporting=sum(
                     1 for n in self._node_snapshots() if n))
+        if self.pool is not None:  # namespaced: topology, trace, counters
+            pool = self.pool.stats_snapshot()
+            stats["pool"] = {k: pool.pop(k) for k in
+                             ("workers", "degraded", "pending", "leases")}
+            stats["pool"].update(
+                trace={"evictions": pool.pop("trace_evictions"),
+                       "store": pool.pop("trace_store")}, counters=pool)
         if self.journal is not None:
             stats["journal"] = self.journal.stats_snapshot()
         if self.scrub_report is not None:
             stats["scrub"] = self.scrub_report
         return stats
+
+    def live_workers(self) -> int:
+        """Live pool workers: the last report of every node not declared
+        dead, except that the local pool is counted directly (ready
+        before the local node's registration lands; 0 once its node has
+        failed and closed it)."""
+        roster = {n["node"]: n for n in self.roster()}
+        own = roster.pop(LOCAL_NODE_ID, None) if self.pool is not None \
+            else None
+        total = sum(n["workers"] for n in roster.values()
+                    if n["state"] != "dead")
+        if self.pool is not None and (own is None or own["state"] != "dead"):
+            total += self.pool.alive_workers()
+        return total
 
     def _node_snapshots(self) -> List[Optional[dict]]:
         """Latest cumulative telemetry snapshot per node (dead nodes
@@ -823,12 +885,17 @@ class ClusterService:
             t.gauge("repro_cluster_nodes",
                     "Registered worker nodes by liveness state",
                     state=state).set(count)
+        t.gauge("repro_workers_alive",
+                "Live pool worker processes across nodes").set(
+            self.live_workers())
         t.gauge("repro_service_draining",
                 "1 while draining, else 0").set(
             1.0 if self._draining else 0.0)
         t.gauge("repro_spans_tracked",
                 "Jobs with an in-memory span").set(len(self.spans))
         mirrors = [("store", self.store.stats_snapshot())]
+        if self.pool is not None:
+            mirrors.append(("pool", self.pool.stats_snapshot()))
         if self.journal is not None:
             mirrors.append(("journal", self.journal.stats_snapshot()))
         for prefix, snapshot in mirrors:

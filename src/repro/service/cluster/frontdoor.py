@@ -1,31 +1,29 @@
-"""Async front door for the cluster coordinator.
+"""The HTTP front door of the job service.
 
-The single-process service uses one thread per connection
-(``ThreadingHTTPServer``) — fine for a handful of clients, hopeless for
-a fleet of nodes plus thousands of concurrent submitters.  The cluster
-front door replaces it with one asyncio event loop (running in its own
-thread so the blocking service objects need no rewrite) that speaks
-enough HTTP/1.1 for this API: keep-alive connections, ``Content-Length``
-bodies, nothing else.
+One asyncio event loop (running in its own thread so the blocking
+service objects need no rewrite) speaks enough HTTP/1.1 for the JSON API
+of docs/SERVICE.md: keep-alive connections and ``Content-Length``
+bodies, each response sent in one write.  ``POST /jobs`` answers 202
+with accepted entries, 429 + ``Retry-After`` when the bounded queue
+fills and 503 + ``Retry-After`` while draining; ``GET /jobs/<id>?wait=S``
+**long-polls**, parking the request on an asyncio event until the job
+turns terminal (or S seconds pass), so waiting clients cost events, not
+threads.
 
-The client-facing routes keep the single-process server's JSON shapes
-and availability contract byte-for-byte — ``POST /jobs`` (single or
-batch) answers 202 with accepted entries, 429 + ``Retry-After`` when the
-bounded queue fills, 503 + ``Retry-After`` while draining — plus one
-cluster extra: ``GET /jobs/<id>?wait=S`` **long-polls**, parking the
-request on an asyncio event until the job turns terminal (or S seconds
-pass), so thousands of waiting clients cost events, not threads.
-
-Node-facing routes (``POST /cluster/register|heartbeat|lease|complete``)
-carry the pull protocol; ``lease`` long-polls on a global work event so
-idle nodes learn of new work in one round-trip without hammering the
-queue.  A liveness tick runs as a loop task, escalating silent nodes
-alive -> suspect -> dead (lease reclaim + redelivery).
+Node routes (``POST /cluster/register|heartbeat|lease|complete``) carry
+the pull protocol; ``lease`` long-polls on a global work event so idle
+nodes learn of new work in one round-trip.  A liveness tick runs as a
+loop task, escalating silent nodes alive -> suspect -> dead (lease
+reclaim + redelivery).  ``repro serve`` adds a local node: the door
+builds, starts, stops and closes a
+:class:`~repro.service.cluster.node.ClusterNode` in this process that
+pulls its leases through this very door over loopback.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import re
 import signal
@@ -35,11 +33,13 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from repro.obs.telemetry import configure_logging, get_logger, log_event
-from repro.service.cluster.coordinator import ClusterService, UnknownNodeError
+from repro.service.cluster.coordinator import (DEFAULT_PRIORITY,
+                                               LOCAL_NODE_ID, ClusterService,
+                                               DrainingError, QueueFullError,
+                                               UnknownNodeError)
+from repro.service.cluster.node import ClusterNode
+from repro.service.jobs import JobSpec
 from repro.service.journal import Journal
-from repro.service.server import (DEFAULT_PRIORITY, RETRY_AFTER_S,
-                                  BadJobError, DrainingError, QueueFullError,
-                                  spec_from_request)
 from repro.service.store import ResultStore
 
 _LOG = get_logger("service.cluster.frontdoor")
@@ -48,14 +48,85 @@ _LOG = get_logger("service.cluster.frontdoor")
 LONG_POLL_CAP_S = 30.0
 #: Lost-wakeup fallback: parked lease waits re-check at least this often.
 POLL_SLICE_S = 0.25
+#: Hint sent with 429 (queue full) and 503 (draining) responses.
+RETRY_AFTER_S = 2
+
+
+class BadJobError(Exception):
+    """The submitted job spec is invalid."""
+
+
+def spec_from_request(body: dict) -> JobSpec:
+    """Validate one submitted job object into a JobSpec.
+
+    ``core`` is a known core name or a full config object; ``app`` is a
+    suite application name or ``profile`` a full profile object.
+    """
+    if not isinstance(body, dict):
+        raise BadJobError("job must be a JSON object")
+    core = body.get("core", "casino")
+    if isinstance(core, str):
+        from repro.__main__ import _CORES as factories
+        if core not in factories:
+            raise BadJobError(
+                f"unknown core {core!r}; valid: {', '.join(sorted(factories))}")
+        cfg = factories[core]()
+    elif isinstance(core, dict):
+        try:
+            from repro.common.config_io import core_config_from_dict
+            cfg = core_config_from_dict(core)
+        except Exception as exc:
+            raise BadJobError(f"bad core config: {exc}")
+    else:
+        raise BadJobError("core must be a name or a config object")
+    profile = body.get("profile")
+    if profile is None:
+        app = body.get("app")
+        if not isinstance(app, str):
+            raise BadJobError("job needs an 'app' name or a 'profile' object")
+        from repro.workloads.suite import SUITE
+        if app not in SUITE:
+            raise BadJobError(f"unknown app {app!r}")
+        profile_obj = SUITE[app]
+    else:
+        try:
+            from repro.workloads.generator import WorkloadProfile
+            profile_obj = WorkloadProfile(**profile)
+        except (TypeError, ValueError) as exc:
+            raise BadJobError(f"bad profile: {exc}")
+    try:
+        n_instrs = int(body.get("n", body.get("n_instrs", 24_000)))
+        warmup = int(body.get("warmup", 6_000))
+    except (TypeError, ValueError):
+        raise BadJobError("'n' and 'warmup' must be integers")
+    try:
+        # Fault-injection hooks (chaos tests and the cluster bench's
+        # stall workload submit these over HTTP; neither is part of the
+        # result key, so they never pollute the store).
+        test_kill = int(body.get("test_kill", 0))
+        test_stall_s = float(body.get("test_stall_s", 0.0))
+    except (TypeError, ValueError):
+        raise BadJobError("'test_kill' and 'test_stall_s' must be numeric")
+    return JobSpec(core=dataclasses.asdict(cfg),
+                   profile=dataclasses.asdict(profile_obj),
+                   n_instrs=n_instrs, warmup=warmup,
+                   sanitize=bool(body["sanitize"]) if "sanitize" in body
+                   else None,
+                   retries=int(body.get("retries", 1)),
+                   accounting=bool(body.get("accounting", True)),
+                   test_kill=test_kill, test_stall_s=test_stall_s)
 
 
 class ClusterFrontDoor:
-    """One asyncio HTTP server in a dedicated thread."""
+    """One asyncio HTTP server in a dedicated thread, plus the local node
+    of ``workers`` pool workers (``None``: one per CPU; 0: no local node)
+    with per-job ``timeout``."""
 
     def __init__(self, service: ClusterService,
                  host: str = "127.0.0.1", port: int = 0,
-                 tick_s: float = 0.05) -> None:
+                 tick_s: float = 0.05,
+                 workers: Optional[int] = 0,
+                 timeout: Optional[float] = None) -> None:
         self.service = service
         self.host = host
         self.port = port  # rebound to the real port after start()
@@ -69,12 +140,28 @@ class ClusterFrontDoor:
         #: job id -> event set when that job turns terminal (loop thread).
         self._job_events = {}
         self._work_event: Optional[asyncio.Event] = None
+        self._stopping = False
+        self.local_node: Optional[ClusterNode] = None
+        if workers != 0:
+            # Heartbeat well inside the suspect window, like any node must.
+            self.local_node = ClusterNode(
+                None, service.store, node_id=LOCAL_NODE_ID, workers=workers,
+                heartbeat_s=min(1.0, service.suspect_after_s / 4),
+                job_timeout_s=timeout)
+            service.pool = self.local_node.pool
         service.on_terminal = self._notify_terminal
         service.on_enqueued = self._notify_enqueued
 
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> None:
+        """Serve, then start the local node (if any) against this door's
+        own address."""
+        node = self.local_node
+        if node is not None:
+            # Fork the workers first: they inherit no loop thread and no
+            # listening socket, and warm up while the door starts.
+            node.pool.start()
         self._thread = threading.Thread(target=self._run_loop,
                                         name="cluster-frontdoor",
                                         daemon=True)
@@ -82,18 +169,31 @@ class ClusterFrontDoor:
         self._started.wait()
         if self._start_error is not None:
             raise self._start_error
+        if node is not None:
+            node.start(self.url)
 
     def stop(self) -> None:
+        """Stop the local node's loop, then serving, then close the
+        node (its pool workers exit)."""
+        node = self.local_node
+        if node is not None:
+            # While the door still serves: release its parked lease so
+            # the loop ends within one step, no request left hanging.
+            node.stop()
+            self._stopping = True
+            self._notify_enqueued()
+            node.join()
         loop = self._loop
-        if loop is None:
-            return
-        try:
-            loop.call_soon_threadsafe(loop.stop)
-        except RuntimeError:
-            pass
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._loop = None
+        if loop is not None:
+            try:
+                loop.call_soon_threadsafe(loop.stop)
+            except RuntimeError:
+                pass
+            if self._thread is not None:
+                self._thread.join(timeout=5.0)
+            self._loop = None
+        if node is not None:
+            node.close()
 
     @property
     def url(self) -> str:
@@ -179,16 +279,24 @@ class ClusterFrontDoor:
                 try:
                     length = int(headers.get("content-length", 0))
                 except ValueError:
-                    length = 0
-                body = await reader.readexactly(length) if length else b""
-                try:
+                    length = -1
+                # A body that cannot be framed is answered, then closed.
+                close = (length < 0 or version == "HTTP/1.0"
+                         or headers.get("connection", "").lower() == "close")
+                if length < 0:
                     status, payload, extra, ctype = \
-                        await self._dispatch(method, target, body)
-                except Exception as exc:  # route bug: 500, keep serving
-                    log_event(_LOG, "frontdoor.error", target=target,
-                              error=repr(exc))
-                    status, payload, extra, ctype = \
-                        500, {"error": f"internal error: {exc}"}, {}, None
+                        400, {"error": "invalid Content-Length"}, {}, None
+                else:
+                    body = await reader.readexactly(length) if length \
+                        else b""
+                    try:
+                        status, payload, extra, ctype = \
+                            await self._dispatch(method, target, body)
+                    except Exception as exc:  # route bug: 500, keep going
+                        log_event(_LOG, "frontdoor.error", target=target,
+                                  error=repr(exc))
+                        status, payload, extra, ctype = \
+                            500, {"error": f"internal error: {exc}"}, {}, None
                 raw = payload if isinstance(payload, bytes) else \
                     (json.dumps(payload, sort_keys=True) + "\n").encode()
                 head_lines = [
@@ -199,8 +307,6 @@ class ClusterFrontDoor:
                 ]
                 for name, value in (extra or {}).items():
                     head_lines.append(f"{name}: {value}")
-                close = (headers.get("connection", "").lower() == "close"
-                         or version == "HTTP/1.0")
                 head_lines.append(
                     "Connection: close" if close else
                     "Connection: keep-alive")
@@ -209,7 +315,8 @@ class ClusterFrontDoor:
                 await writer.drain()
                 if close:
                     return
-        except (ConnectionError, asyncio.CancelledError):
+        except (ConnectionError, asyncio.IncompleteReadError,
+                asyncio.CancelledError):
             pass
         finally:
             try:
@@ -233,13 +340,11 @@ class ClusterFrontDoor:
     async def _get(self, path: str, query: dict):
         service = self.service
         if path == "/healthz":
-            roster = service.roster()
             return 200, {
                 "status": "draining" if service.draining else "ok",
                 "role": "coordinator",
-                "workers": sum(n["capacity"] for n in roster
-                               if n["state"] != "dead"),
-                "nodes": roster,
+                "workers": service.live_workers(),
+                "nodes": service.roster(),
             }, {}, None
         if path == "/stats":
             return 200, service.stats(), {}, None
@@ -311,9 +416,7 @@ class ClusterFrontDoor:
         if path != "/jobs":
             return 404, {"error": "unknown endpoint"}, {}, None
         if service.draining:
-            return (503, {"error": "service is draining",
-                          "retry_after_s": RETRY_AFTER_S},
-                    {"Retry-After": str(RETRY_AFTER_S)}, None)
+            return _retry_later(503, {"error": "service is draining"})
         try:
             parsed = json.loads(body or b"{}")
         except (ValueError, json.JSONDecodeError):
@@ -334,14 +437,10 @@ class ClusterFrontDoor:
         try:
             for spec, priority in specs:
                 accepted.append(service.submit(spec, priority))
-        except QueueFullError as exc:
-            return (429, {"error": str(exc), "accepted": accepted,
-                          "retry_after_s": RETRY_AFTER_S},
-                    {"Retry-After": str(RETRY_AFTER_S)}, None)
-        except DrainingError as exc:
-            return (503, {"error": str(exc), "accepted": accepted,
-                          "retry_after_s": RETRY_AFTER_S},
-                    {"Retry-After": str(RETRY_AFTER_S)}, None)
+        except (QueueFullError, DrainingError) as exc:
+            return _retry_later(429 if isinstance(exc, QueueFullError)
+                                else 503,
+                                {"error": str(exc), "accepted": accepted})
         return 202, {"jobs": accepted}, {}, None
 
     async def _post_cluster(self, path: str, body: bytes):
@@ -357,17 +456,19 @@ class ClusterFrontDoor:
             if path == "/cluster/register":
                 ack = service.register_node(
                     node_id, capacity=int(message.get("capacity", 1)),
-                    meta=message.get("meta"))
+                    meta=message.get("meta"),
+                    workers=message.get("workers"))
                 return 200, ack, {}, None
             if path == "/cluster/heartbeat":
                 ack = service.heartbeat(
-                    node_id, telemetry=message.get("telemetry"))
+                    node_id, telemetry=message.get("telemetry"),
+                    workers=message.get("workers"))
                 return 200, ack, {}, None
             if path == "/cluster/lease":
-                max_jobs = int(message.get("max_jobs", 1))
-                wait_s = float(message.get("wait_s", 0.0))
-                jobs = await self._lease_long_poll(node_id, max_jobs,
-                                                   wait_s)
+                jobs = await self._lease_long_poll(
+                    node_id, int(message.get("max_jobs", 1)),
+                    float(message.get("wait_s", 0.0)),
+                    message.get("workers"))
                 return 200, {"jobs": jobs,
                              "draining": service.draining}, {}, None
             if path == "/cluster/complete":
@@ -383,18 +484,17 @@ class ClusterFrontDoor:
         return 404, {"error": "unknown endpoint"}, {}, None
 
     async def _lease_long_poll(self, node_id: str, max_jobs: int,
-                               wait_s: float) -> list:
+                               wait_s: float, workers=None) -> list:
         """Lease now, or park on the work event until something queues
-        (bounded slices guard against lost wakeups)."""
-        jobs = self.service.try_lease(node_id, max_jobs)
-        if jobs or wait_s <= 0:
-            return jobs
+        (bounded slices guard against lost wakeups).  A stopping door
+        leases nothing: the local node's loop is ending."""
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + min(wait_s, LONG_POLL_CAP_S)
-        while not jobs:
+        deadline = loop.time() + min(max(wait_s, 0.0), LONG_POLL_CAP_S)
+        while not self._stopping:
+            jobs = self.service.try_lease(node_id, max_jobs, workers)
             remaining = deadline - loop.time()
-            if remaining <= 0:
-                break
+            if jobs or remaining <= 0:
+                return jobs
             self._work_event.clear()
             try:
                 await asyncio.wait_for(self._work_event.wait(),
@@ -402,8 +502,13 @@ class ClusterFrontDoor:
                                                    POLL_SLICE_S))
             except asyncio.TimeoutError:
                 pass
-            jobs = self.service.try_lease(node_id, max_jobs)
-        return jobs
+        return []
+
+
+def _retry_later(status: int, payload: dict):
+    """A 429/503 response carrying the ``Retry-After`` hint."""
+    return (status, dict(payload, retry_after_s=RETRY_AFTER_S),
+            {"Retry-After": str(RETRY_AFTER_S)}, None)
 
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
@@ -418,8 +523,21 @@ def create_coordinator(host: str = "127.0.0.1", port: int = 0,
                        journal_sync: Optional[str] = "batch",
                        telemetry: bool = True,
                        suspect_after_s: float = 5.0,
-                       dead_after_s: float = 15.0):
-    """Build (but do not start) a coordinator + front door pair."""
+                       dead_after_s: float = 15.0,
+                       workers: Optional[int] = 0,
+                       timeout: Optional[float] = None):
+    """Build (but do not start) a coordinator + front door pair.
+
+    ``workers`` sizes the local node's pool (``None``: one per CPU); 0
+    builds a coordinator for remote nodes only.  ``timeout`` is the
+    per-job timeout.  The write-ahead journal lives under
+    ``<store_dir>/journal`` with the given fsync policy (``always`` |
+    ``batch`` | ``off``); ``journal_sync=None`` runs without one
+    (volatile job state).
+    Start with ``service.start()`` (journal recovery) then
+    ``door.start()`` (which also starts the local node); tear down with
+    ``door.stop()`` then ``service.stop()``.
+    """
     store = ResultStore(store_dir)
     journal = None
     if journal_sync not in (None, "none"):
@@ -428,7 +546,8 @@ def create_coordinator(host: str = "127.0.0.1", port: int = 0,
                              telemetry=telemetry,
                              suspect_after_s=suspect_after_s,
                              dead_after_s=dead_after_s)
-    door = ClusterFrontDoor(service, host=host, port=port)
+    door = ClusterFrontDoor(service, host=host, port=port, workers=workers,
+                            timeout=timeout)
     return door, service
 
 
@@ -439,19 +558,28 @@ def serve_coordinator(host: str, port: int, store_dir: str,
                       suspect_after_s: float = 5.0,
                       dead_after_s: float = 15.0,
                       drain_timeout_s: float = 30.0,
+                      workers: Optional[int] = 0,
+                      timeout: Optional[float] = None,
+                      stats_interval: Optional[float] = None,
                       echo=print) -> int:
-    """Blocking entry behind ``repro serve --role coordinator``.
+    """Blocking entry behind ``repro serve`` (``workers`` as in
+    :func:`create_coordinator`: ``--role single`` starts a local node,
+    ``--role coordinator`` passes 0).
 
     Node roster transitions (registered / suspect / dead / recovered)
-    land on stdout with last-heartbeat ages; SIGTERM/SIGINT drain: new
-    submissions get 503 + ``Retry-After``, leased jobs finish on their
-    nodes (up to ``drain_timeout_s``), queued work stays journaled.
+    land on stdout with last-heartbeat ages; lifecycle events also land
+    on stderr as JSON log lines, and with ``stats_interval`` a
+    ``service.stats`` line every that-many seconds.  SIGTERM/SIGINT
+    drain: new submissions get 503 + ``Retry-After``, leased jobs finish
+    (up to ``drain_timeout_s``), queued work stays journaled for the
+    next start, and the process exits 0.
     """
     configure_logging()
     door, service = create_coordinator(
         host=host, port=port, store_dir=store_dir, max_queue=max_queue,
         journal_sync=journal_sync, telemetry=telemetry,
-        suspect_after_s=suspect_after_s, dead_after_s=dead_after_s)
+        suspect_after_s=suspect_after_s, dead_after_s=dead_after_s,
+        workers=workers, timeout=timeout)
 
     def _roster_line(node_id: str, event: str) -> None:
         ages = {n["node"]: n["last_heartbeat_age_s"]
@@ -460,16 +588,19 @@ def serve_coordinator(host: str, port: int, store_dir: str,
              f"(last heartbeat {ages.get(node_id, 0.0):.1f}s ago; "
              f"{len(ages)} node(s) known)")
 
-    service.on_node_event = _roster_line
     service.start()
     door.start()
-    echo(f"cluster coordinator on {door.url} (store {store_dir}, queue "
-         f"{max_queue}, journal "
+    node = door.local_node
+    echo(f"job service on {door.url} ("
+         + (f"local node with {node.capacity} worker(s)" if node
+            else "no local node")
+         + f", store {store_dir}, queue {max_queue}, journal "
          f"{journal_sync if service.journal else 'off'}, telemetry "
          f"{'on' if telemetry else 'off'}, suspect after "
          f"{suspect_after_s:g}s, dead after {dead_after_s:g}s)")
+    service.on_node_event = _roster_line  # the URL line stays first
     log_event(_LOG, "coordinator.started", host=host, port=door.port,
-              store=store_dir)
+              store=store_dir, workers=node.capacity if node else 0)
     recovered = service.recovery
     if recovered["replayed"]:
         echo(f"recovered {recovered['replayed']} journaled job(s): "
@@ -477,6 +608,20 @@ def serve_coordinator(host: str, port: int, store_dir: str,
              f"{recovered['requeued']} re-queued, "
              f"{recovered['lost']} lost")
     stop = threading.Event()
+    if stats_interval:
+        def _stats_loop():
+            while not stop.wait(stats_interval):
+                snapshot = service.stats()
+                log_event(_LOG, "service.stats",
+                          queue_depth=snapshot["queue"]["depth"],
+                          jobs=snapshot["jobs"],
+                          cluster=snapshot["cluster"]["counters"],
+                          store_hits=snapshot["store"].get("hits"),
+                          store_misses=snapshot["store"].get("misses"),
+                          workers=service.live_workers())
+
+        threading.Thread(target=_stats_loop, name="stats-logger",
+                         daemon=True).start()
 
     def _signal(signum, frame):
         echo(f"signal {signum}: draining (leased jobs finish, queued "

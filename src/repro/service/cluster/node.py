@@ -1,10 +1,12 @@
 """Worker-node agent: lease, replicate, simulate, report.
 
-A :class:`ClusterNode` is one worker host in the fabric.  It wraps the
-same lease-based :class:`~repro.service.pool.SimulationPool` the
-single-process service uses (per-worker heartbeats, bounded
-redeliveries, dead-letters) and speaks the coordinator's pull protocol
-over one keep-alive HTTP connection:
+A :class:`ClusterNode` is one worker host in the fabric.  It wraps a
+lease-based :class:`~repro.service.pool.SimulationPool` (per-worker
+heartbeats, bounded redeliveries, dead-letters) and speaks the
+coordinator's pull protocol over one keep-alive HTTP connection — also
+when it is the in-process *local node* of ``repro serve``, which runs in
+a background thread (:meth:`ClusterNode.start`) and shares the
+coordinator's :class:`~repro.service.store.ResultStore` object:
 
 1. ``register`` with a capacity, then ``heartbeat`` periodically —
    every message renews liveness, so a busy node never goes suspect.
@@ -17,7 +19,7 @@ over one keep-alive HTTP connection:
    with the node id, and ride the ``complete`` message back — together
    with a cumulative telemetry snapshot merging the node's own registry
    and every pool worker's, so the coordinator's ``/metrics`` and
-   ``GET /jobs/<id>/trace`` stay as complete as single-process mode.
+   ``GET /jobs/<id>/trace`` see every node alike.
 4. A completion that cannot be delivered (coordinator briefly down) is
    parked in an outbox and retried — finished work is never dropped.
 
@@ -30,12 +32,12 @@ node itself keeps no durable state beyond its local store replica.
 
 from __future__ import annotations
 
+import os
 import signal
 import socket
-import os
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.obs.telemetry import (MetricsRegistry, get_logger, log_event,
                                  merge_snapshots)
@@ -53,20 +55,27 @@ def default_node_id() -> str:
 
 
 class ClusterNode:
-    def __init__(self, coordinator_url: str, store_dir,
+    """``store`` is a directory for the node's own replica store, or the
+    coordinator's :class:`ResultStore` itself for the local node (then
+    there is nothing to replicate: no fetch-on-miss).  ``workers=None``
+    means one pool worker per CPU."""
+
+    def __init__(self, coordinator_url: Optional[str],
+                 store: Union[str, os.PathLike, ResultStore],
                  node_id: Optional[str] = None,
-                 workers: int = 1,
+                 workers: Optional[int] = 1,
                  heartbeat_s: float = 1.0,
                  lease_wait_s: float = 0.5,
-                 pool_lease_s: float = 30.0,
                  job_timeout_s: Optional[float] = None) -> None:
         self.node_id = node_id or default_node_id()
-        self.capacity = max(1, int(workers))
         self.heartbeat_s = heartbeat_s
         self.lease_wait_s = lease_wait_s
-        self.client = ServiceClient(coordinator_url, timeout=30.0)
-        self.store = ResultStore(store_dir)
-        self.replica = ReplicaStore(self.store, self._fetch_envelope)
+        self.client = (ServiceClient(coordinator_url, timeout=30.0)
+                       if coordinator_url else None)
+        shared = isinstance(store, ResultStore)
+        self.store = store if shared else ResultStore(store)
+        fetch = None if shared else self._fetch_envelope
+        self.replica = ReplicaStore(self.store, fetch) if fetch else None
         self.telemetry = MetricsRegistry()
         self._m_leased = self.telemetry.counter(
             "repro_node_jobs_leased_total", "Jobs leased by this node")
@@ -76,17 +85,14 @@ class ClusterNode:
         self._m_completed = self.telemetry.counter(
             "repro_node_jobs_reported_total",
             "Completions delivered to the coordinator")
-        self.pool = SimulationPool(n_workers=self.capacity,
-                                   store=self.store,
-                                   timeout=job_timeout_s,
-                                   lease_s=pool_lease_s,
-                                   telemetry=True)
+        self.pool = SimulationPool(n_workers=workers, store=self.store,
+                                   timeout=job_timeout_s, telemetry=True)
+        self.capacity = self.pool.n_workers
         self.pool.on_event = self._pool_event
         # Pull-through replica of the coordinator's published traces,
         # rooted on the same shard the pool workers read: a prefetched
         # container means no worker in this node pays generation.
-        self.traces = TraceStore(self.store.root / "traces",
-                                 fetch=self._fetch_envelope)
+        self.traces = TraceStore(self.store.root / "traces", fetch=fetch)
         #: pool job id -> cluster job dict (id/key/spec/...).
         self._inflight: Dict[int, dict] = {}
         #: cluster job id -> buffered span events for the completion.
@@ -97,6 +103,7 @@ class ClusterNode:
         self._draining = False
         self._last_hb = 0.0
         self._stop = threading.Event()
+        self._thread: Optional[threading.Thread] = None
         self.stats = {"leased": 0, "replica_served": 0, "reported": 0,
                       "report_retries": 0, "reregistrations": 0,
                       "traces_prefetched": 0}
@@ -131,7 +138,8 @@ class ClusterNode:
     def register(self) -> None:
         self.client._request("/cluster/register",
                              payload={"node": self.node_id,
-                                      "capacity": self.capacity})
+                                      "capacity": self.capacity,
+                                      "workers": self.pool.alive_workers()})
         self._registered = True
         self._last_hb = time.monotonic()
         log_event(_LOG, "node.registered", node=self.node_id,
@@ -142,6 +150,7 @@ class ClusterNode:
             "/cluster/heartbeat",
             payload={"node": self.node_id,
                      "telemetry": self._snapshot(),
+                     "workers": self.pool.alive_workers(),
                      "inflight": len(self._inflight)})
         self._last_hb = time.monotonic()
         self._draining = bool(response.get("draining"))
@@ -150,16 +159,21 @@ class ClusterNode:
         idle = self.capacity - len(self._inflight)
         if idle <= 0 or self._draining:
             return
+        # Long-poll only when idle: with jobs in flight the pool tick
+        # is the wait (a parked lease would delay their completions).
         response = self.client._request(
             "/cluster/lease",
             payload={"node": self.node_id, "max_jobs": idle,
-                     "wait_s": self.lease_wait_s})
+                     "workers": self.pool.alive_workers(),
+                     "wait_s": 0.0 if self._inflight
+                     else self.lease_wait_s})
         self._last_hb = time.monotonic()
         for job in response.get("jobs", ()):
             self.stats["leased"] += 1
             self._m_leased.inc()
             spec = JobSpec(**job["spec"])
-            record = self.replica.get(job["key"])
+            record = (self.replica.get(job["key"])
+                      if self.replica is not None else None)
             if record is not None:
                 # Pull-through replication hit: no simulation at all.
                 self.stats["replica_served"] += 1
@@ -200,6 +214,7 @@ class ClusterNode:
     def _finish(self, pool_id: int) -> None:
         job = self._inflight.pop(pool_id)
         record = self.pool.record(pool_id)
+        self.pool.forget(pool_id)
         if record is None:  # cancelled mid-drain; coordinator redelivers
             return
         self._queue_completion(job, record)
@@ -239,32 +254,73 @@ class ClusterNode:
             else:
                 raise
         except OSError:
-            time.sleep(min(self.heartbeat_s, 0.5))  # coordinator down
+            self._stop.wait(min(self.heartbeat_s, 0.5))  # coordinator down
         self.pool.tick(block_s=block_s)
         for pool_id in [p for p in list(self._inflight)
                         if self.pool.done(p)]:
             self._finish(pool_id)
         self._flush_outbox()
 
+    def _loop(self) -> None:
+        while not self._stop.is_set():
+            self.step()
+            if self._draining and not self._inflight and not self._outbox:
+                break
+
     def run(self) -> None:
+        """Blocking: start the pool, serve until stopped, close."""
         self.pool.start()
         try:
-            while not self._stop.is_set():
-                self.step()
-                if self._draining and not self._inflight \
-                        and not self._outbox:
-                    break
+            self._loop()
         finally:
             self.close()
 
+    def start(self, coordinator_url: Optional[str] = None) -> None:
+        """Start the pool and serve from a background thread (the local
+        node; its first step registers).  Stop with :meth:`stop` +
+        :meth:`join`, then :meth:`close`."""
+        if coordinator_url is not None:
+            self.client = ServiceClient(coordinator_url, timeout=30.0)
+        self.pool.start()
+        self._thread = threading.Thread(target=self._serve_in_thread,
+                                        daemon=True,
+                                        name=f"node-{self.node_id}")
+        self._thread.start()
+
+    def _serve_in_thread(self) -> None:
+        """Thread body of the local node.  Its coordinator lives in the
+        same process, so no one would see the thread end: an unexpected
+        answer is logged and the node re-registers; any other failure is
+        logged and closes the pool, so ``/healthz`` stops counting its
+        workers."""
+        while not self._stop.is_set():
+            try:
+                self._loop()
+                return
+            except ServiceError as exc:
+                log_event(_LOG, "node.error", node=self.node_id,
+                          status=exc.status, error=str(exc))
+                self._registered = False
+                self._stop.wait(min(self.heartbeat_s, 0.5))
+            except Exception as exc:
+                log_event(_LOG, "node.failed", node=self.node_id,
+                          error=repr(exc))
+                self.pool.close()
+                return
+
     def stop(self) -> None:
         self._stop.set()
+
+    def join(self, timeout_s: float = 30.0) -> None:
+        if self._thread is not None:
+            self._thread.join(timeout=timeout_s)
 
     def close(self) -> None:
         try:
             self.pool.close()
         finally:
-            self.client.close()
+            if self.client is not None:
+                self.client.close()
 
 
 def run_node(coordinator_url: str, store_dir,

@@ -2,8 +2,9 @@
 
 An append-only log of job lifecycle records (``submitted`` / ``leased``
 / ``heartbeat`` / ``done`` / ``failed`` / ``dead_letter``) that a
-restarted :class:`~repro.service.server.SimulationService` replays to
-reconstruct its queue and re-dispatch orphaned work.  Design points:
+restarted :class:`~repro.service.cluster.coordinator.ClusterService`
+replays to reconstruct its queue and re-dispatch orphaned work.  Design
+points:
 
 * **One record per line** — a JSON object ``{"crc", "seq", "rec"}``
   where ``crc`` is the CRC-32 of the canonical serialisation of
@@ -233,16 +234,6 @@ class Journal:
                     os.close(dup)
                 except OSError:
                     pass
-
-    def sync_now(self) -> None:
-        """Force an fsync of the active segment (drain/shutdown barrier)."""
-        with self._lock:
-            fh = self._fh
-            if fh is not None and not fh.closed:
-                fh.flush()
-                os.fsync(fh.fileno())
-                self.stats["fsyncs"] += 1
-                self._dirty = False
 
     def close(self) -> None:
         self._flusher_stop.set()

@@ -37,8 +37,8 @@ flushed — therefore always has an identifiable casualty job.
   pooled sweep) can account for dispatched-but-unfinished work.
 
 All coordination happens in :meth:`tick`, which the blocking helpers
-(:meth:`wait`, :meth:`run_batch`) call in a loop and which an HTTP server
-can call from its own dispatcher thread.
+(:meth:`wait`, :meth:`run_batch`) call in a loop and which a cluster
+node calls from its own loop.
 """
 
 from __future__ import annotations
@@ -397,6 +397,13 @@ class SimulationPool:
     def record(self, job_id: int) -> Optional[dict]:
         return self._records.get(job_id)
 
+    def forget(self, job_id: int) -> None:
+        """Drop a resolved job's record once the caller has taken it (a
+        long-running node would otherwise keep every record)."""
+        self._records.pop(job_id, None)
+        self._keys.pop(job_id, None)
+        self._attempts.pop(job_id, None)
+
     def status(self, job_id: int) -> str:
         if job_id in self._records:
             record = self._records[job_id]
@@ -409,22 +416,10 @@ class SimulationPool:
             return "queued"
         return "unknown"
 
-    def attempts(self, job_id: int) -> int:
-        """Deliveries so far for one job (redelivery accounting)."""
-        return self._attempts.get(job_id, 0)
-
     def dead_letters(self) -> List[dict]:
         """Every dead-letter record resolved so far."""
         return [dict(r, job_id=job_id) for job_id, r in self._records.items()
                 if r.get("status") == "dead_letter"]
-
-    def lease_snapshot(self) -> Dict[int, dict]:
-        """Live leases: ``{pid: {job, expires_in_s, suspect}}``."""
-        now = time.monotonic()
-        return {pid: {"job": job,
-                      "expires_in_s": self._lease_deadline.get(pid, 0.0) - now,
-                      "suspect": pid in self._suspect}
-                for pid, (job, _) in self._assigned.items()}
 
     def stats_snapshot(self) -> dict:
         snapshot = dict(self.stats)
@@ -557,7 +552,7 @@ class SimulationPool:
             # "bye" only carries the final eviction count.
 
     def _resolve(self, job_id: int, record: dict) -> None:
-        if job_id not in self._pending and job_id in self._records:
+        if job_id not in self._pending:  # resolved (or forgotten) already
             return
         self._pending.pop(job_id, None)
         self._records[job_id] = record

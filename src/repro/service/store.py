@@ -512,17 +512,6 @@ ReplicaStore`: on a local miss it is called with the trace key and must
         key = trace_key(profile, n_instrs)
         return self._write_raw(key, encode_trace(trace, key))
 
-    def wire_record(self, profile, n_instrs: int) -> Optional[dict]:
-        """The stored entry as a wire record (what a coordinator would
-        publish in its result store for replicas to fetch), or None."""
-        key = trace_key(profile, n_instrs)
-        path = self._path(key)
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return None
-        return trace_wire_record(key, raw)
-
     # -- maintenance -----------------------------------------------------------
 
     def _validate_legacy(self, path: Path) -> bool:

@@ -1,6 +1,5 @@
 """HTTP service: submit/poll/result lifecycle, validation, backpressure."""
 
-import threading
 import urllib.error
 import urllib.request
 
@@ -12,26 +11,33 @@ from repro.service.client import (
     ServiceDrainingError,
     ServiceError,
 )
-from repro.service.server import create_server
+from repro.service.cluster.frontdoor import create_coordinator
 
 N, WARMUP = 1200, 200
+
+
+def _serve(store_dir, max_queue):
+    """What ``repro serve --workers 1`` runs: coordinator + local node."""
+    door, svc = create_coordinator(port=0, workers=1,
+                                   store_dir=str(store_dir),
+                                   max_queue=max_queue)
+    svc.start()
+    door.start()
+    return door, svc
+
+
+def _shutdown(door, svc):
+    door.stop()
+    svc.stop()
 
 
 @pytest.fixture(scope="module")
 def service(tmp_path_factory):
     store_dir = tmp_path_factory.mktemp("service-store")
-    httpd, svc = create_server(host="127.0.0.1", port=0, workers=1,
-                               store_dir=str(store_dir), max_queue=16)
-    thread = threading.Thread(target=httpd.serve_forever,
-                              kwargs={"poll_interval": 0.05}, daemon=True)
-    thread.start()
-    host, port = httpd.server_address
-    client = ServiceClient(f"http://{host}:{port}", timeout=30)
+    door, svc = _serve(store_dir, max_queue=16)
+    client = ServiceClient(door.url, timeout=30)
     yield client
-    svc.stop()
-    httpd.shutdown()
-    httpd.server_close()
-    thread.join(timeout=5)
+    _shutdown(door, svc)
 
 
 def _job(core="ino", app="hmmer", **kw):
@@ -159,20 +165,10 @@ class TestDrainScrubListing:
     def own_service(self, tmp_path):
         """A private server: these tests mutate service-wide state
         (drain, scrub) that must not leak into the shared fixture."""
-        httpd, svc = create_server(host="127.0.0.1", port=0, workers=1,
-                                   store_dir=str(tmp_path / "store"),
-                                   max_queue=16)
-        thread = threading.Thread(target=httpd.serve_forever,
-                                  kwargs={"poll_interval": 0.05},
-                                  daemon=True)
-        thread.start()
-        host, port = httpd.server_address
-        client = ServiceClient(f"http://{host}:{port}", timeout=30)
+        door, svc = _serve(tmp_path / "store", max_queue=16)
+        client = ServiceClient(door.url, timeout=30)
         yield client, svc
-        svc.stop()
-        httpd.shutdown()
-        httpd.server_close()
-        thread.join(timeout=5)
+        _shutdown(door, svc)
 
     def test_drain_refuses_submissions_with_503(self, own_service):
         client, svc = own_service
@@ -215,15 +211,8 @@ class TestDrainScrubListing:
 class TestBackpressure:
     def test_queue_full_yields_429_with_retry_hint(self, tmp_path):
         """A queue of 1 behind slow jobs must answer 429, not buffer."""
-        httpd, svc = create_server(host="127.0.0.1", port=0, workers=1,
-                                   store_dir=str(tmp_path / "store"),
-                                   max_queue=1)
-        thread = threading.Thread(target=httpd.serve_forever,
-                                  kwargs={"poll_interval": 0.05},
-                                  daemon=True)
-        thread.start()
-        host, port = httpd.server_address
-        client = ServiceClient(f"http://{host}:{port}", timeout=30)
+        door, svc = _serve(tmp_path / "store", max_queue=1)
+        client = ServiceClient(door.url, timeout=30)
         apps = ["hmmer", "mcf", "milc", "gcc", "bwaves", "gobmk",
                 "sjeng", "astar"]
         try:
@@ -239,7 +228,4 @@ class TestBackpressure:
             assert busy.retry_after_s > 0
             assert "queue full" in str(busy)
         finally:
-            svc.stop()
-            httpd.shutdown()
-            httpd.server_close()
-            thread.join(timeout=5)
+            _shutdown(door, svc)

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.common.params import make_casino_config, make_ino_config
-from repro.service.chaos import (
+from tests.chaos import (
     ChaosFabric,
     assert_invariant,
     serial_digests,
@@ -217,13 +217,12 @@ class TestClusterNodeSigkill:
         notice via missed heartbeats, reclaim the dead node's leases,
         redeliver to the survivor, and finish the batch with exactly one
         terminal state per job and serial-identical digests."""
-        from repro.service.chaos import ClusterChaosFabric
         specs = _specs(STANDARD_PAIRS)
         # Stalls keep leases in flight when the SIGKILL lands (the stall
         # hook is not part of the result key, so the oracle still maps).
         staggered = [dataclasses.replace(s, test_stall_s=1.0)
                      for s in specs]
-        fabric = ClusterChaosFabric(tmp_path, seed=808)
+        fabric = ChaosFabric(tmp_path, workers=0, seed=808)
         fabric.start()
         try:
             fabric.spawn_node()
@@ -249,11 +248,10 @@ class TestClusterNodeSigkill:
             self, tmp_path, oracle):
         """Kill the node while the queue is already empty (everything
         leased): redelivery must come purely from lease reclaim."""
-        from repro.service.chaos import ClusterChaosFabric
         specs = _specs(STANDARD_PAIRS[:2])
         stalled = [dataclasses.replace(s, test_stall_s=0.8)
                    for s in specs]
-        fabric = ClusterChaosFabric(tmp_path, seed=909)
+        fabric = ChaosFabric(tmp_path, workers=0, seed=909)
         fabric.start()
         try:
             fabric.spawn_node()
@@ -282,11 +280,10 @@ class TestClusterCoordinatorRestart:
         their own; journal recovery requeues open jobs; completions of
         pre-crash leases are accepted first-completion-wins.  Every job
         ends in exactly one terminal state with serial digests."""
-        from repro.service.chaos import ClusterChaosFabric
         specs = _specs(STANDARD_PAIRS)
         staggered = [dataclasses.replace(s, test_stall_s=0.4 * (i % 2))
                      for i, s in enumerate(specs)]
-        fabric = ClusterChaosFabric(tmp_path, seed=1010)
+        fabric = ChaosFabric(tmp_path, workers=0, seed=1010)
         fabric.start()
         try:
             fabric.spawn_node()

@@ -18,7 +18,6 @@ import time
 import pytest
 
 from repro.common.params import make_casino_config, make_ino_config
-from repro.service.chaos import serial_digests
 from repro.service.client import (
     ServiceBusyError,
     ServiceClient,
@@ -34,6 +33,7 @@ from repro.service.cluster.frontdoor import create_coordinator
 from repro.service.jobs import JobSpec
 from repro.service.store import ResultStore, encode_record
 from repro.workloads.suite import SUITE
+from tests.chaos import serial_digests
 
 N, WARMUP = 1200, 200
 TERMINAL = ("done", "failed", "dead_letter")

@@ -20,7 +20,7 @@ from repro.obs.telemetry import (
     new_trace_id,
     render_prometheus,
 )
-from repro.service.chaos import ChaosFabric, assert_invariant, serial_digests
+from tests.chaos import ChaosFabric, assert_invariant, serial_digests
 from repro.service.jobs import JobSpec, execute_job
 from repro.service.pool import SimulationPool
 from repro.service.store import ResultStore
