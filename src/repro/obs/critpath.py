@@ -38,6 +38,15 @@ The same per-node classification, summed over *all* instructions instead
 of only the path, gives the per-edge-type slack totals
 (:func:`edge_slack`) used by ``repro explain``.
 
+Cost: :func:`build_graph` is one pass over the schedule.  Register edges
+come from a last-writer map and store -> load edges from a map of byte
+address -> youngest store that wrote it, so neither rescans older
+instructions.  :func:`critical_path`, :func:`edge_slack` and
+:func:`repro.obs.schedulediff.diff_schedules` share one graph per
+schedule through a two-entry cache keyed on the schedule object, its
+length and the hit latency; a schedule is treated as immutable once
+analysed (appending rows is noticed, editing rows in place is not).
+
 Like every observability module here, this is strictly read-only and
 core-agnostic: it sees only the recorded schedule, so it can analyse any
 core model.  The ordering gate is detected from the schedule itself via
@@ -48,7 +57,9 @@ show it at every dependent head.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 #: Edge/cycle categories, in display order.
@@ -59,6 +70,8 @@ EDGE_TYPES = ("execute", "memory", "data", "siq_order", "fu_contention",
 #: for configured runs.
 DEFAULT_HIT_LATENCY = 4
 
+_SEQ = attrgetter("seq")
+
 
 class PathNode:
     """One scheduled instruction with its rebuilt constraints."""
@@ -66,7 +79,7 @@ class PathNode:
     __slots__ = ("seq", "inst", "issue_at", "done_at", "commit_at",
                  "from_siq", "dispatch_at", "producers", "mem_producer",
                  "data_ready", "ready", "binding_producer", "gate",
-                 "gate_seq", "order_wait", "contention_wait",
+                 "gate_node", "order_wait", "contention_wait",
                  "exec_cycles", "mem_cycles", "window_pred")
 
     def __init__(self, seq, inst, issue_at, done_at, commit_at, from_siq,
@@ -84,7 +97,7 @@ class PathNode:
         self.ready = 0
         self.binding_producer: Optional["PathNode"] = None
         self.gate = 0
-        self.gate_seq: Optional[int] = None
+        self.gate_node: Optional["PathNode"] = None
         self.order_wait = 0
         self.contention_wait = 0
         self.exec_cycles = 0
@@ -104,11 +117,14 @@ def build_graph(schedule: Sequence[tuple],
     order).  Returns nodes in program order with ``producers`` (register
     dataflow), ``mem_producer`` (youngest older overlapping store for
     loads), the binding constraint, and the per-category cycle split.
+    Memory accesses must be at least one byte wide (``mem_size >= 1``;
+    every trace producer emits 8); an access with ``mem_addr`` None gets
+    no memory edge.  Not cached: the caller owns the returned nodes.
     """
     nodes = [PathNode(*row) for row in schedule
              if row[2] is not None and row[3] is not None]
     last_writer: Dict[int, PathNode] = {}
-    last_stores: List[PathNode] = []
+    store_at: Dict[int, PathNode] = {}        # byte -> youngest store to it
     prefix_issue: Optional[PathNode] = None   # older node with max issue_at
     commits: List[int] = []                   # nondecreasing (in-order commit)
     for i, node in enumerate(nodes):
@@ -117,11 +133,12 @@ def build_graph(schedule: Sequence[tuple],
             writer = last_writer.get(src)
             if writer is not None:
                 node.producers.append(writer)
-        if inst.is_load:
-            for store in reversed(last_stores):
-                if store.inst.overlaps(inst):
-                    node.mem_producer = store
-                    break
+        if inst.is_load and inst.mem_addr is not None:
+            addr = inst.mem_addr
+            stores = [store for store in map(
+                store_at.get, range(addr, addr + inst.mem_size)) if store]
+            if stores:
+                node.mem_producer = max(stores, key=_SEQ)
         # Data/memory readiness: the latest producer completion.
         ready = 0
         binding = None
@@ -151,8 +168,8 @@ def build_graph(schedule: Sequence[tuple],
         # max, which classifies those waits as contention, not ordering.)
         if prefix_issue is not None:
             node.gate = prefix_issue.issue_at
-            node.gate_seq = prefix_issue.seq
-        gate = node.gate if node.gate_seq is not None else 0
+            node.gate_node = prefix_issue
+        gate = node.gate
         if gate > node.ready and node.issue_at >= gate:
             node.order_wait = gate - node.ready
             node.contention_wait = node.issue_at - gate
@@ -166,12 +183,41 @@ def build_graph(schedule: Sequence[tuple],
             node.exec_cycles = total_exec
         if inst.dst is not None:
             last_writer[inst.dst] = node
-        if inst.is_store:
-            last_stores.append(node)
+        if inst.is_store and inst.mem_addr is not None:
+            addr = inst.mem_addr
+            for byte in range(addr, addr + inst.mem_size):
+                store_at[byte] = node
         if prefix_issue is None or node.issue_at > prefix_issue.issue_at:
             prefix_issue = node
         commits.append(node.commit_at)
     return nodes
+
+
+#: Graphs of the most recently analysed schedules, oldest first, as
+#: ``(schedule, len(schedule), hit_latency, nodes)``.  Two entries hold
+#: the pair ``repro explain --vs`` analyses; holding the schedule itself
+#: keeps its ``id`` from being reused while the entry lives.
+_GRAPH_CACHE_SIZE = 2
+_graphs: List[tuple] = []
+# Held across the build too: building is pure Python, so concurrent
+# callers could not overlap it anyway, and the size bound stays exact.
+_graphs_lock = threading.Lock()
+
+
+def _graph(schedule: Sequence[tuple], hit_latency: int) -> List[PathNode]:
+    """``build_graph(schedule, hit_latency)``, built once per schedule
+    object and shared by the analyses; callers must not mutate it."""
+    with _graphs_lock:
+        for i, (cached, length, hit, nodes) in enumerate(_graphs):
+            if (cached is schedule and length == len(schedule)
+                    and hit == hit_latency):
+                _graphs.append(_graphs.pop(i))
+                return nodes
+        # Evict before building, so at most _GRAPH_CACHE_SIZE graphs live.
+        del _graphs[:1 - _GRAPH_CACHE_SIZE]
+        nodes = build_graph(schedule, hit_latency)
+        _graphs.append((schedule, len(schedule), hit_latency, nodes))
+        return nodes
 
 
 def critical_path(schedule: Sequence[tuple],
@@ -186,11 +232,10 @@ def critical_path(schedule: Sequence[tuple],
     pointer continuously from the path length down to cycle 0, so the
     breakdown sums exactly to ``length`` by construction.
     """
-    nodes = build_graph(schedule, hit_latency)
+    nodes = _graph(schedule, hit_latency)
     if not nodes:
         return {"length": 0, "path": [],
                 "breakdown": {t: 0 for t in EDGE_TYPES}}
-    by_seq = {node.seq: node for node in nodes}
     current = max(nodes, key=lambda n: (n.done_at, n.seq))
     length = current.done_at
     breakdown = {t: 0 for t in EDGE_TYPES}
@@ -217,9 +262,7 @@ def critical_path(schedule: Sequence[tuple],
             "contention_wait": current.contention_wait,
         }
         t = current.issue_at
-        gate_node = (by_seq.get(current.gate_seq)
-                     if current.gate_seq is not None else None)
-        if current.order_wait > 0 and gate_node is not None:
+        if current.order_wait > 0:
             # Segment [gate, issue): issue was gated on the older
             # instruction issuing.  The wait *before* the gate opened
             # belongs to the gate node's own history, which the walk
@@ -227,8 +270,8 @@ def critical_path(schedule: Sequence[tuple],
             breakdown["siq_order"] += t - current.gate
             step["via"] = "siq_order"
             path.append(step)
-            t = current.gate          # == gate_node.issue_at
-            current = gate_node
+            t = current.gate          # == current.gate_node.issue_at
+            current = current.gate_node
             continue
         binding = current.binding_producer
         if (binding is not None
@@ -269,7 +312,7 @@ def edge_slack(schedule: Sequence[tuple],
     ordering vs. FU contention, and how many execution cycles went to
     the memory system vs. plain FU latency."""
     totals = {t: 0 for t in EDGE_TYPES}
-    for node in build_graph(schedule, hit_latency):
+    for node in _graph(schedule, hit_latency):
         totals["execute"] += node.exec_cycles
         totals["memory"] += node.mem_cycles
         totals["siq_order"] += node.order_wait

@@ -6,7 +6,8 @@ the same sequence numbers; aligning on ``seq`` compares, instruction by
 instruction, *when* each core issued the same work.  The interesting
 quantity is the **issue delay** — ``issue_at`` minus the cycle the
 instruction's operands were ready on that core (recomputed from the
-schedule via :func:`repro.obs.critpath.build_graph`) — because it
+schedule's :func:`repro.obs.critpath.build_graph` graph, shared with the
+critical-path analyses) — because it
 isolates scheduling quality from dataflow: an instruction with a large
 delay on core A and none on core B marks exactly where A's scheduler
 fell behind.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.obs.critpath import DEFAULT_HIT_LATENCY, build_graph
+from repro.obs.critpath import DEFAULT_HIT_LATENCY, _graph
 
 
 def diff_schedules(sched_a: Sequence[tuple], sched_b: Sequence[tuple],
@@ -38,8 +39,8 @@ def diff_schedules(sched_a: Sequence[tuple], sched_b: Sequence[tuple],
     closer to readiness.  Entries cover the intersection of committed
     sequence numbers (identical for two complete runs of one trace).
     """
-    nodes_a = {n.seq: n for n in build_graph(sched_a, hit_latency)}
-    nodes_b = {n.seq: n for n in build_graph(sched_b, hit_latency)}
+    nodes_a = {n.seq: n for n in _graph(sched_a, hit_latency)}
+    nodes_b = {n.seq: n for n in _graph(sched_b, hit_latency)}
     entries: List[dict] = []
     by_op: Dict[str, dict] = {}
     for seq in sorted(nodes_a.keys() & nodes_b.keys()):
