@@ -11,7 +11,11 @@ harness times a fixed set of (core, app) simulations on the host:
   normalised (``median / calibration``) and compared across hosts of
   different speeds — the CI gate checks normalised scores, not seconds;
 * a provenance manifest (git rev, python, platform, config hashes) so a
-  checked-in baseline is attributable.
+  checked-in baseline is attributable;
+* a ``casino/mcf:acct`` leg: the vector tier with cycle accounting
+  attached, interleaved with the plain run, reporting
+  ``accounting_overhead`` (reported, not gated: it carries no
+  normalised score, so ``--check`` skips it).
 
 Run:    python scripts/bench.py [--quick] [--out BENCH_core.json]
 Gate:   python scripts/bench.py --quick --check \
@@ -39,6 +43,8 @@ from repro.common.params import (  # noqa: E402
     make_ooo_config,
 )
 from repro.cores import build_core  # noqa: E402
+from repro.engine.soatrace import TraceArrays  # noqa: E402
+from repro.obs.accounting import CycleAccounting  # noqa: E402
 from repro.obs.provenance import config_hash, git_rev  # noqa: E402
 from repro.workloads.generator import SyntheticWorkload  # noqa: E402
 from repro.workloads.suite import get_profile  # noqa: E402
@@ -72,7 +78,7 @@ def default_engine_tier() -> str:
     from repro.engine.vectortier import select_kernel
     core = build_core(_CORES["ino"]())
     return ("vector"
-            if select_kernel(core, None, False) is not None else "pure")
+            if select_kernel(core, None) is not None else "pure")
 
 
 def calibrate(iters: int = 300_000, repeats: int = 3) -> float:
@@ -96,7 +102,9 @@ def calibrate(iters: int = 300_000, repeats: int = 3) -> float:
 def bench_pair(core_name: str, app: str, n_instrs: int, warmup: int,
                repeats: int, fast_forward=None) -> dict:
     cfg = _CORES[core_name]()
-    trace = SyntheticWorkload(get_profile(app)).generate(n_instrs)
+    # Converted once, outside the timed loop, as the harness Runner does.
+    trace = TraceArrays.from_instructions(
+        SyntheticWorkload(get_profile(app)).generate(n_instrs))
     build_core(cfg).run(trace, warmup=warmup,       # untimed warm-up pass
                         fast_forward=fast_forward)
     times = []
@@ -117,6 +125,39 @@ def bench_pair(core_name: str, app: str, n_instrs: int, warmup: int,
     return {"median_s": median, "iqr_s": iqr, "repeats": repeats,
             "cycles": cycles, "kcycles_per_s": cycles / median / 1e3,
             "engine_tier": core.engine_tier_used,
+            "config_hash": config_hash(cfg)}
+
+
+def bench_accounting(core_name: str, app: str, n_instrs: int, warmup: int,
+                     repeats: int) -> dict:
+    """What always-on cycle accounting costs on the vector tier.
+
+    The plain and the accounted leg run the same converted trace on the
+    forced vector tier (so a kernel that stopped hosting accounting
+    raises instead of passing for cheap), interleaved in alternating
+    order, and the best-of-N times are compared.
+    """
+    cfg = _CORES[core_name]()
+    trace = TraceArrays.from_instructions(
+        SyntheticWorkload(get_profile(app)).generate(n_instrs))
+    build_core(cfg).run(trace, warmup=warmup,       # untimed warm-up pass
+                        accounting=CycleAccounting(), engine_tier="vector")
+    plain_times, acct_times = [], []
+    for rep in range(repeats):
+        legs = [(None, plain_times), (CycleAccounting, acct_times)]
+        if rep & 1:  # alternate order so neither leg always runs first
+            legs.reverse()
+        for make_acct, times in legs:
+            core = build_core(cfg)
+            accounting = make_acct() if make_acct is not None else None
+            start = time.perf_counter()
+            core.run(trace, warmup=warmup, accounting=accounting,
+                     engine_tier="vector")
+            times.append(time.perf_counter() - start)
+    best_plain, best_acct = min(plain_times), min(acct_times)
+    return {"plain_s": best_plain, "accounting_s": best_acct,
+            "repeats": repeats, "engine_tier": core.engine_tier_used,
+            "accounting_overhead": best_acct / best_plain - 1.0,
             "config_hash": config_hash(cfg)}
 
 
@@ -455,6 +496,14 @@ def run_suite(n_instrs: int, warmup: int, repeats: int) -> dict:
         print(f"  {core_name}/{app}:noskip: median {entry['median_s']:.3f}s"
               f" (fast-forward buys "
               f"{skip_on['speedup_vs_noskip']:.2f}x)")
+    # Reported, not gated: no "normalized" key, so --check skips it.
+    acct_entry = bench_accounting("casino", "mcf", n_instrs, warmup,
+                                  max(repeats * 2, 6))
+    results["casino/mcf:acct"] = acct_entry
+    print(f"  casino/mcf:acct: {acct_entry['accounting_s']:.3f}s with "
+          f"accounting vs {acct_entry['plain_s']:.3f}s plain "
+          f"(overhead {acct_entry['accounting_overhead']:+.1%}, "
+          f"{acct_entry['engine_tier']} tier)")
     pool_entry = bench_pool_sweep(n_instrs, warmup, repeats)
     pool_entry["normalized"] = pool_entry["median_s"] / calibration
     results["pool/sweep"] = pool_entry

@@ -262,7 +262,9 @@ class CoreModel:
         ``engine_tier`` selects the execution tier: ``None`` (default)
         auto-selects the kernelized vector tier when this core type has a
         registered kernel, no attached observer forces the fallback and
-        ``REPRO_PURE_PY=1`` is not set; ``"pure"`` forces the interpreted
+        ``REPRO_PURE_PY=1`` is not set (cycle accounting runs inside the
+        CASINO kernel; every other observer, and accounting on InO,
+        forces the interpreted loop); ``"pure"`` forces the interpreted
         loop; ``"vector"`` demands the kernel and raises when it cannot
         run (see :mod:`repro.engine.vectortier`).  Both tiers are
         bit-identical; ``self.engine_tier_used`` records the tier that
@@ -277,24 +279,28 @@ class CoreModel:
         watchdog = (deadlock_cycles if deadlock_cycles is not None
                     else self.cfg.deadlock_cycles)
         self.schedule = [] if record_schedule else None
-        # Vector tier: a kernelized twin of the loop below, selected only
-        # when it is provably equivalent (exact core type, no observers).
-        # The kernel consumes the trace's SoA columns; object records back
-        # the entries for observers and post-mortem inspection.
+        # Vector tier: a kernelized twin of :meth:`_run_loop`, selected
+        # only when it is provably equivalent (exact core type, and every
+        # attached observer one the kernel hosts).  The kernel consumes
+        # the trace's SoA columns; object records back the entries for
+        # observers and post-mortem inspection.
         from repro.engine.soatrace import TraceArrays
-        from repro.engine.vectortier import arrays_for, select_kernel
-        observers_attached = (faults is not None or self.sanitizer is not None
-                              or sampler is not None or tracer is not None
-                              or accounting is not None
-                              or profiler is not None)
-        kernel = select_kernel(self, engine_tier, observers_attached)
+        from repro.engine.vectortier import select_kernel
+        observers = [name for name, observer in (
+            ("faults", faults), ("sanitizer", self.sanitizer),
+            ("sampler", sampler), ("tracer", tracer),
+            ("accounting", accounting), ("profiler", profiler))
+            if observer is not None]
+        kernel = select_kernel(self, engine_tier, observers)
         self.engine_tier_used = "vector" if kernel is not None else "pure"
         arrays = None
         if isinstance(trace, TraceArrays):
             arrays = trace
             trace = arrays.materialize()
         elif kernel is not None:
-            arrays = arrays_for(trace)
+            # A bare list is converted for this call only; long-lived
+            # callers (the harness Runner) pass the SoA twin they keep.
+            arrays = TraceArrays.from_instructions(trace)
         self.reset(trace)
         if profiler is not None:
             profiler.attach(self)
@@ -302,9 +308,6 @@ class CoreModel:
         if warm_icache:
             for line in {inst.line for inst in trace}:
                 self.hier.l1i.install_prefetch(line << 6, fill_at=-1)
-        cycle = 0
-        warm_snapshot = None
-        warm_cycle = 0
         # Quiescence skipping is provably bit-identical only for the pure
         # timing path plus the observers that tolerate (tracer, profiler)
         # or handle (accounting, via on_idle_span) idle spans.  Faults
@@ -313,116 +316,13 @@ class CoreModel:
         skip_ok = (_resolve_fast_forward(fast_forward)
                    and faults is None and self.sanitizer is None
                    and sampler is None)
-        if kernel is not None:
-            cycle, warm_snapshot, warm_cycle = kernel(
-                self, arrays, max_cycles, watchdog, warmup, skip_ok)
-            self.stats.add("cycles", cycle)
-            if warm_snapshot is not None:
-                for key, value in warm_snapshot.items():
-                    self.stats.counters[key] -= value
-                self.stats.counters["cycles"] = cycle - warm_cycle
-            return self.stats
-        counters = self.stats.counters
-        fu = self.fu
-        fetch = self.fetch
-        fetch_queue = fetch.queue
-        fetch_capacity = fetch.capacity
-        fetch_tick = fetch.tick
-        pipeline_empty = self.pipeline_empty
-        acct = self.accounting
-        slow_observers = (self.faults is not None or acct is not None
-                          or self.sanitizer is not None
-                          or self.sampler is not None)
-        wakeup_cal = self._wakeup_cal
-        fire_wakeups = self._fire_wakeups
-        next_event_cycle = self._next_event_cycle
         try:
-            # A non-empty decode queue is the common "not drained" case.
-            while fetch_queue or not (fetch.drained and pipeline_empty()):
-                if skip_ok:
-                    hint = next_event_cycle(cycle)
-                    if hint is not None:
-                        target, rates = hint
-                        wd_fire = self._last_commit_cycle + watchdog + 1
-                        mc_fire = max_cycles + 1
-                        stop = min(target, wd_fire, mc_fire)
-                        if stop > cycle:
-                            span = stop - cycle
-                            for key, rate in rates.items():
-                                counters[key] += float(rate * span)
-                            if acct is not None:
-                                acct.on_idle_span(self, cycle, stop - 1)
-                            self.ff_spans += 1
-                            self.ff_skipped_cycles += span
-                            self._drain_wakeups(stop)
-                            cycle = stop
-                            if stop == wd_fire:
-                                self.cycle = stop - 1
-                                raise SimulationError(
-                                    f"{self.cfg.name}: no commit for "
-                                    f"{watchdog} cycles at cycle {cycle} "
-                                    f"(deadlock?) - {self._debug_state()}",
-                                    core=self.cfg.name,
-                                    check="deadlock_watchdog", cycle=cycle,
-                                    last_commit_cycle=self._last_commit_cycle,
-                                    committed=self._committed,
-                                    debug=self._debug_state())
-                            if stop == mc_fire:
-                                self.cycle = stop - 1
-                                raise SimulationError(
-                                    f"{self.cfg.name}: exceeded {max_cycles} "
-                                    f"cycles - {self._debug_state()}",
-                                    core=self.cfg.name, check="cycle_budget",
-                                    cycle=cycle, max_cycles=max_cycles,
-                                    committed=self._committed,
-                                    debug=self._debug_state())
-                self.cycle = cycle
-                if wakeup_cal:
-                    bucket = wakeup_cal.pop(cycle, None)
-                    if bucket is not None:
-                        fire_wakeups(bucket, cycle, wakeup_cal)
-                if fu.claimed:
-                    fu.reset()
-                self._step(cycle)
-                if slow_observers:
-                    if self.faults is not None:
-                        self.faults.on_cycle(self, cycle)
-                    if acct is not None:
-                        acct.on_cycle(self, cycle)
-                    if self.sanitizer is not None:
-                        self.sanitizer.check_cycle(self, cycle)
-                    if self.sampler is not None:
-                        self.sampler.on_cycle(self, cycle)
-                # A fetch gated on a mispredict or an I-cache refill, or
-                # with a full decode pipe, does nothing this cycle (tick's
-                # own first tests), so skip the call.
-                if (fetch.blocked_seq is None
-                        and cycle >= fetch.stalled_until
-                        and len(fetch_queue) < fetch_capacity):
-                    fetch_tick(cycle)
-                cycle += 1
-                if (warmup and warm_snapshot is None
-                        and self._committed >= warmup):
-                    warm_snapshot = dict(counters)
-                    warm_cycle = cycle
-                    if acct is not None:
-                        acct.on_warmup()
-                if cycle - self._last_commit_cycle > watchdog:
-                    raise SimulationError(
-                        f"{self.cfg.name}: no commit for {watchdog} cycles at "
-                        f"cycle {cycle} (deadlock?) - {self._debug_state()}",
-                        core=self.cfg.name, check="deadlock_watchdog",
-                        cycle=cycle, last_commit_cycle=self._last_commit_cycle,
-                        committed=self._committed,
-                        debug=self._debug_state())
-                if cycle > max_cycles:
-                    raise SimulationError(
-                        f"{self.cfg.name}: exceeded {max_cycles} cycles - "
-                        f"{self._debug_state()}",
-                        core=self.cfg.name, check="cycle_budget", cycle=cycle,
-                        max_cycles=max_cycles,
-                        committed=self._committed,
-                        debug=self._debug_state())
+            if kernel is not None:
+                cycle, warm_snapshot, warm_cycle = kernel(
+                    self, arrays, max_cycles, watchdog, warmup, skip_ok)
+            else:
+                cycle, warm_snapshot, warm_cycle = self._run_loop(
+                    max_cycles, watchdog, warmup, skip_ok)
         finally:
             if profiler is not None:
                 profiler.end_run()
@@ -436,6 +336,129 @@ class CoreModel:
                 self.stats.counters[key] -= value
             self.stats.counters["cycles"] = cycle - warm_cycle
         return self.stats
+
+    def _run_loop(self, max_cycles: int, watchdog: int, warmup: int,
+                  skip_ok: bool):
+        """The interpreted cycle loop (pure tier), with the kernels'
+        contract: returns ``(final_cycle, warm_snapshot, warm_cycle)``."""
+        cycle = 0
+        warm_snapshot = None
+        warm_cycle = 0
+        counters = self.stats.counters
+        fu = self.fu
+        fetch = self.fetch
+        fetch_queue = fetch.queue
+        fetch_capacity = fetch.capacity
+        fetch_tick = fetch.tick
+        pipeline_empty = self.pipeline_empty
+        acct = self.accounting
+        slow_observers = (self.faults is not None or acct is not None
+                          or self.sanitizer is not None
+                          or self.sampler is not None)
+        # Accounting is told whether anything committed or issued each
+        # cycle: the commit mirror and the issue counters (each core
+        # bumps a subset of these keys) moved since the last stepped
+        # cycle.  Skipped spans move neither.
+        counters_get = counters.get
+        acct_committed = acct_issued = 0.0
+        wakeup_cal = self._wakeup_cal
+        fire_wakeups = self._fire_wakeups
+        next_event_cycle = self._next_event_cycle
+        # A non-empty decode queue is the common "not drained" case.
+        while fetch_queue or not (fetch.drained and pipeline_empty()):
+            if skip_ok:
+                hint = next_event_cycle(cycle)
+                if hint is not None:
+                    target, rates = hint
+                    wd_fire = self._last_commit_cycle + watchdog + 1
+                    mc_fire = max_cycles + 1
+                    stop = min(target, wd_fire, mc_fire)
+                    if stop > cycle:
+                        span = stop - cycle
+                        for key, rate in rates.items():
+                            counters[key] += float(rate * span)
+                        if acct is not None:
+                            acct.on_idle_span(self, cycle, stop - 1)
+                        self.ff_spans += 1
+                        self.ff_skipped_cycles += span
+                        self._drain_wakeups(stop)
+                        cycle = stop
+                        if stop == wd_fire:
+                            self.cycle = stop - 1
+                            raise SimulationError(
+                                f"{self.cfg.name}: no commit for "
+                                f"{watchdog} cycles at cycle {cycle} "
+                                f"(deadlock?) - {self._debug_state()}",
+                                core=self.cfg.name,
+                                check="deadlock_watchdog", cycle=cycle,
+                                last_commit_cycle=self._last_commit_cycle,
+                                committed=self._committed,
+                                debug=self._debug_state())
+                        if stop == mc_fire:
+                            self.cycle = stop - 1
+                            raise SimulationError(
+                                f"{self.cfg.name}: exceeded {max_cycles} "
+                                f"cycles - {self._debug_state()}",
+                                core=self.cfg.name, check="cycle_budget",
+                                cycle=cycle, max_cycles=max_cycles,
+                                committed=self._committed,
+                                debug=self._debug_state())
+            self.cycle = cycle
+            if wakeup_cal:
+                bucket = wakeup_cal.pop(cycle, None)
+                if bucket is not None:
+                    fire_wakeups(bucket, cycle, wakeup_cal)
+            if fu.claimed:
+                fu.reset()
+            self._step(cycle)
+            if slow_observers:
+                if self.faults is not None:
+                    self.faults.on_cycle(self, cycle)
+                if acct is not None:
+                    committed = self._committed
+                    issued = (counters_get("issued", 0.0)
+                              + counters_get("issued_head", 0.0)
+                              + counters_get("issued_spec", 0.0))
+                    acct.on_cycle(self, cycle,
+                                  committed != acct_committed,
+                                  issued != acct_issued)
+                    acct_committed = committed
+                    acct_issued = issued
+                if self.sanitizer is not None:
+                    self.sanitizer.check_cycle(self, cycle)
+                if self.sampler is not None:
+                    self.sampler.on_cycle(self, cycle)
+            # A fetch gated on a mispredict or an I-cache refill, or
+            # with a full decode pipe, does nothing this cycle (tick's
+            # own first tests), so skip the call.
+            if (fetch.blocked_seq is None
+                    and cycle >= fetch.stalled_until
+                    and len(fetch_queue) < fetch_capacity):
+                fetch_tick(cycle)
+            cycle += 1
+            if (warmup and warm_snapshot is None
+                    and self._committed >= warmup):
+                warm_snapshot = dict(counters)
+                warm_cycle = cycle
+                if acct is not None:
+                    acct.on_warmup(self)
+            if cycle - self._last_commit_cycle > watchdog:
+                raise SimulationError(
+                    f"{self.cfg.name}: no commit for {watchdog} cycles at "
+                    f"cycle {cycle} (deadlock?) - {self._debug_state()}",
+                    core=self.cfg.name, check="deadlock_watchdog",
+                    cycle=cycle, last_commit_cycle=self._last_commit_cycle,
+                    committed=self._committed,
+                    debug=self._debug_state())
+            if cycle > max_cycles:
+                raise SimulationError(
+                    f"{self.cfg.name}: exceeded {max_cycles} cycles - "
+                    f"{self._debug_state()}",
+                    core=self.cfg.name, check="cycle_budget", cycle=cycle,
+                    max_cycles=max_cycles,
+                    committed=self._committed,
+                    debug=self._debug_state())
+        return cycle, warm_snapshot, warm_cycle
 
     # -- hooks for subclasses -------------------------------------------------
 

@@ -31,6 +31,17 @@ Counter flushing rule: accumulators flush only when nonzero so the
 counter *key set* matches the interpreted run; counters bumped by
 non-inlined callees (renamer, LSU, caches, TAGE, BTB) are never
 localised here.
+
+Cycle accounting: an attached :class:`~repro.obs.accounting.
+CycleAccounting` is called exactly where the interpreted loop calls it —
+``on_cycle`` after the stages and before fetch, ``on_idle_span`` on each
+fast-forward jump before its wakeups drain, ``on_warmup`` at the warm
+snapshot (``finish`` runs in ``CoreModel.run``).  The classifier reads
+the live entries and queues; the few hoisted scalars it reads
+(``_expected_commit_seq``, ``fetch.blocked_seq``, ``fetch.stalled_until``)
+are written back before each call, and whether anything committed or
+issued comes from the kernel's own state, since its counters are
+bulk-flushed.
 """
 
 from __future__ import annotations
@@ -203,6 +214,8 @@ def run_casino(core, arrays, max_cycles, watchdog, warmup, skip_ok):
     last_writer = core.last_writer
     last_writer_get = last_writer.get
     schedule = core.schedule
+    acct = core.accounting
+    acct_on_cycle = acct.on_cycle if acct is not None else None
 
     cycle = 0
     expected_seq = core._expected_commit_seq
@@ -443,6 +456,11 @@ def run_casino(core, arrays, max_cycles, watchdog, warmup, skip_ok):
                             c_pass_rename += r_pass * span
                         ff_spans += 1
                         ff_skipped += span
+                        if acct is not None:
+                            core._expected_commit_seq = expected_seq
+                            fetch.blocked_seq = blocked_seq
+                            fetch.stalled_until = stalled_until
+                            acct.on_idle_span(core, cycle, stop - 1)
                         if next_wakeup <= stop:
                             while True:
                                 due = [key for key in wakeup_cal
@@ -1305,6 +1323,17 @@ def run_casino(core, arrays, max_cycles, watchdog, warmup, skip_ok):
                     c_dispatched += 1
                     dispatched_n += 1
 
+            if acct is not None:
+                core._expected_commit_seq = expected_seq
+                fetch.blocked_seq = blocked_seq
+                fetch.stalled_until = stalled_until
+                # Committed this cycle: the last commit is now (cycle 0
+                # never commits, and last_commit_cycle starts at 0).
+                # Issued this cycle: some issue slot was used.
+                acct_on_cycle(core, cycle,
+                              last_commit_cycle == cycle and cycle > 0,
+                              budget < width)
+
             # -- fetch ----------------------------------------------------
             if blocked_seq is None and cycle >= stalled_until and cursor < n:
                 if n_fq < fetch_capacity:
@@ -1508,6 +1537,8 @@ def run_casino(core, arrays, max_cycles, watchdog, warmup, skip_ok):
                 warm_snapshot = dict(counters)
                 warm_cycle = cycle
                 warm_trigger = _FAR
+                if acct is not None:
+                    acct.on_warmup(core)
             # Fused watchdog/budget trip: ``next_trip`` under-approximates
             # the earliest cycle either limit can fire, so one compare
             # covers both; past it, re-derive exactly which (watchdog

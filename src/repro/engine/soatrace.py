@@ -41,8 +41,9 @@ before returning, so a truncated or bit-flipped entry is always rejected
 with :class:`TraceCodecError` rather than yielding a wrong trace.
 
 Materialisation back to ``DynInst`` objects happens once, lazily, via
-:meth:`TraceArrays.materialize`; runs share the resulting list exactly as
-they share generator-produced traces today.
+:meth:`TraceArrays.materialize` (columns converted from an object trace
+keep that trace as their materialised view); runs share the resulting
+list exactly as they share generator-produced traces today.
 """
 
 from __future__ import annotations
@@ -113,7 +114,10 @@ class TraceArrays:
 
     @classmethod
     def from_instructions(cls, trace: Sequence[DynInst]) -> "TraceArrays":
-        """Convert an object trace into columns (one pass, no mutation)."""
+        """Convert an object trace into columns (one pass, no mutation).
+
+        The source list becomes the materialised view, so runs given the
+        columns keep working on the caller's own ``DynInst`` objects."""
         self = cls()
         pc = self.pc
         op = self.op
@@ -141,6 +145,8 @@ class TraceArrays:
             mem_size.append(inst.mem_size if inst.mem_addr is not None else 0)
             taken.append(1 if inst.taken else 0)
             target.append(_NONE if inst.target is None else inst.target)
+        self._materialized = (trace if isinstance(trace, list)
+                              else list(trace))
         return self
 
     def hot_columns(self) -> Tuple[array, array, array]:

@@ -10,11 +10,17 @@ host-performance decision and follows three rules:
 1. **Exact type match.**  A kernel registered for ``InOrderCore`` never
    runs for a subclass: subclasses override stage methods (tests and the
    TSO example both do) and the kernel would silently bypass them.
-2. **Observers force the pure tier.**  Faults mutate state on arbitrary
-   cycles; the sanitizer, sampler and accounting observe every cycle; the
-   tracer hooks dispatch/issue/commit; the profiler wraps the very methods
-   the kernel inlines away.  Any of them attached selects the interpreted
-   path — exactly like quiescence skipping disables itself today.
+2. **Observers force the pure tier, unless the kernel hosts them.**
+   Faults mutate state on arbitrary cycles; the sanitizer and sampler
+   observe every cycle; the tracer hooks dispatch/issue/commit; the
+   profiler wraps the very methods the kernel inlines away.  Any of them
+   attached selects the interpreted path — exactly like quiescence
+   skipping disables itself today.  Cycle accounting is the exception
+   for CASINO: its kernel calls the same :class:`~repro.obs.accounting.
+   CycleAccounting` hooks at the same point of the cycle as the
+   interpreted loop, so an accounted CASINO run stays on the vector tier
+   (the InO kernel keeps its in-flight state as sequence numbers, with
+   no entries to classify, so accounting still forces InO pure).
    ``record_schedule`` and fast-forward (on or off) are supported inside
    kernels.
 3. **`REPRO_PURE_PY=1` disables the tier globally** (the CI fallback leg),
@@ -31,42 +37,25 @@ actually executed (``"vector"`` or ``"pure"``).
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
-from typing import Callable, Dict, Optional, Type
+from typing import Callable, Collection, Dict, FrozenSet, Optional, Type
 
 from repro.engine.core_base import SimulationError
-from repro.engine.soatrace import TraceArrays
 
 #: Exact core type -> kernel(core, arrays, max_cycles, watchdog, warmup,
 #: skip_ok) returning (final_cycle, warm_snapshot, warm_cycle).
 _KERNELS: Dict[Type, Callable] = {}
 
-#: id(trace) -> (trace, TraceArrays): the once-per-trace SoA conversion.
-#: Holds a strong reference to the trace list so the id stays valid; the
-#: harness already keeps hot traces alive in its own LRU, so the extra
-#: retention is bounded and shared.
-_SOA_CACHE: "OrderedDict[int, tuple]" = OrderedDict()
-_SOA_CACHE_MAX = 16
+#: Exact core type -> names of the observers its kernel hosts (see
+#: ``CoreModel.run`` for the names).
+_HOSTED: Dict[Type, FrozenSet[str]] = {}
 
 
-def arrays_for(trace) -> TraceArrays:
-    """The SoA twin of ``trace``, converted once and LRU-cached by object
-    identity (traces are reused across runs by the harness/bench)."""
-    key = id(trace)
-    hit = _SOA_CACHE.get(key)
-    if hit is not None and hit[0] is trace:
-        _SOA_CACHE.move_to_end(key)
-        return hit[1]
-    arrays = TraceArrays.from_instructions(trace)
-    _SOA_CACHE[key] = (trace, arrays)
-    if len(_SOA_CACHE) > _SOA_CACHE_MAX:
-        _SOA_CACHE.popitem(last=False)
-    return arrays
-
-
-def register_kernel(core_type: Type, kernel: Callable) -> None:
-    """Register ``kernel`` as ``core_type``'s vector-tier run loop."""
+def register_kernel(core_type: Type, kernel: Callable,
+                    hosts: Collection[str] = ()) -> None:
+    """Register ``kernel`` as ``core_type``'s vector-tier run loop; it
+    stays selected when only the observers named in ``hosts`` attach."""
     _KERNELS[core_type] = kernel
+    _HOSTED[core_type] = frozenset(hosts)
 
 
 def kernel_for(core_type: Type) -> Optional[Callable]:
@@ -82,22 +71,22 @@ def _ensure_registered() -> None:
         return
     from repro.cores.inorder import InOrderCore
     from repro.engine import fastino
-    _KERNELS[InOrderCore] = fastino.run_inorder
+    register_kernel(InOrderCore, fastino.run_inorder)
     try:
         from repro.cores.casino.core import CasinoCore
         from repro.engine import fastcasino
-        _KERNELS[CasinoCore] = fastcasino.run_casino
+        register_kernel(CasinoCore, fastcasino.run_casino,
+                        hosts=("accounting",))
     except ImportError:  # pragma: no cover - partial checkouts only
         pass
 
 
 def select_kernel(core, engine_tier: Optional[str],
-                  observers_attached: bool) -> Optional[Callable]:
+                  observers: Collection[str] = ()) -> Optional[Callable]:
     """Resolve the kernel to run ``core`` with, or ``None`` for pure.
 
     ``engine_tier`` is the ``run()`` argument (``None`` auto, ``"pure"``,
-    ``"vector"``); ``observers_attached`` is true when any observer that
-    forces the fallback is armed for this run.
+    ``"vector"``); ``observers`` names the observers armed for this run.
     """
     if engine_tier not in (None, "pure", "vector"):
         raise ValueError(f"unknown engine_tier {engine_tier!r}")
@@ -107,9 +96,12 @@ def select_kernel(core, engine_tier: Optional[str],
     if not forced and os.environ.get("REPRO_PURE_PY", "0") == "1":
         return None
     kernel = kernel_for(type(core))
-    if kernel is None or observers_attached:
+    blocking = (sorted(set(observers) - _HOSTED[type(core)])
+                if kernel is not None else [])
+    if kernel is None or blocking:
         if forced:
-            reason = ("an attached observer forces the pure tier"
+            reason = (f"an attached observer ({', '.join(blocking)}) "
+                      "forces the pure tier"
                       if kernel is not None else
                       f"no kernel registered for {type(core).__name__}")
             raise SimulationError(

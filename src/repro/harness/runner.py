@@ -16,6 +16,7 @@ from typing import Dict, Optional, Sequence
 from repro.common.params import CoreConfig, MemoryConfig
 from repro.common.stats import Stats, geomean
 from repro.cores import build_core
+from repro.engine.soatrace import TraceArrays
 from repro.power.accounting import EnergyReport, build_power_model
 from repro.workloads.generator import SyntheticWorkload, WorkloadProfile
 
@@ -114,6 +115,9 @@ class Runner:
         #: ``fault_hook(cfg, profile) -> Optional[FaultInjector]`` lets
         #: tests (and chaos runs) perturb specific (core, app) pairs.
         self.fault_hook = None
+        #: key -> [trace, its TraceArrays twin or None until first run]:
+        #: the SoA columns the vector tier consumes are converted once per
+        #: cached trace and evicted with it.
         self._traces: "OrderedDict[str, list]" = OrderedDict()
         self._results: Dict[tuple, RunResult] = {}
 
@@ -128,11 +132,23 @@ class Runner:
 
     def trace(self, profile: WorkloadProfile) -> list:
         """The (LRU-cached) dynamic trace for a workload profile."""
+        return self._trace_entry(profile)[0]
+
+    def trace_arrays(self, profile: WorkloadProfile) -> TraceArrays:
+        """The SoA twin of :meth:`trace`, converted on first use and
+        cached (and evicted) with the trace itself."""
+        entry = self._trace_entry(profile)
+        if entry[1] is None:
+            entry[1] = TraceArrays.from_instructions(entry[0])
+        return entry[1]
+
+    def _trace_entry(self, profile: WorkloadProfile) -> list:
         key = f"{profile.name}:{profile.seed}:{self.n_instrs}"
-        if key in self._traces:
+        entry = self._traces.get(key)
+        if entry is not None:
             self.trace_hits += 1
             self._traces.move_to_end(key)
-            return self._traces[key]
+            return entry
         self.trace_misses += 1
         trace = (self.trace_store.get(profile, self.n_instrs)
                  if self.trace_store is not None else None)
@@ -140,11 +156,11 @@ class Runner:
             trace = SyntheticWorkload(profile).generate(self.n_instrs)
             if self.trace_store is not None:
                 self.trace_store.put(profile, self.n_instrs, trace)
-        self._traces[key] = trace
+        entry = self._traces[key] = [trace, None]
         if self.trace_cache_entries and len(self._traces) > self.trace_cache_entries:
             self._traces.popitem(last=False)
             self.trace_evictions += 1
-        return trace
+        return entry
 
     def trace_cache_stats(self) -> Dict[str, int]:
         """Hit/miss/eviction counters for the in-process trace LRU."""
@@ -170,7 +186,7 @@ class Runner:
         core = build_core(cfg, self.mem_cfg)
         faults = self.fault_hook(cfg, profile) if self.fault_hook else None
         acct, sampler = self._observers()
-        stats = core.run(self.trace(profile), warmup=self.warmup,
+        stats = core.run(self.trace_arrays(profile), warmup=self.warmup,
                          sanitize=self.sanitize, faults=faults,
                          accounting=acct, sampler=sampler)
         report = build_power_model(cfg).energy(stats)

@@ -66,10 +66,6 @@ COMPONENTS = (
 #: Bound on the producer-chain walk when looking for a missed load.
 _CHASE_LIMIT = 64
 
-#: Per-core issue counters (each core bumps a subset; their sum moves
-#: exactly when any instruction issues that cycle).
-_ISSUE_COUNTERS = ("issued", "issued_head", "issued_spec")
-
 
 class CycleAccounting:
     """Attributes every simulated cycle to one CPI-stack component."""
@@ -81,8 +77,6 @@ class CycleAccounting:
         self.detail: Dict[str, int] = {}
         self.total_cycles = 0
         self.committed = 0
-        self._last_committed = 0.0
-        self._last_issued = 0.0
         self._warm_components: Optional[Dict[str, int]] = None
         self._warm_detail: Dict[str, int] = {}
         self._warm_cycles = 0
@@ -91,19 +85,17 @@ class CycleAccounting:
 
     # -- recording (called from the core's run loop) -----------------------
 
-    def on_cycle(self, core, cycle: int) -> None:
-        counters = core.stats.counters
-        committed = counters.get("committed", 0.0)
-        issued = sum(counters.get(c, 0.0) for c in _ISSUE_COUNTERS)
-        delta = committed - self._last_committed
-        issue_delta = issued - self._last_issued
-        self._last_committed = committed
-        self._last_issued = issued
+    def on_cycle(self, core, cycle: int, committed_any: bool,
+                 issued_any: bool) -> None:
+        """Attribute one stepped cycle.  Called after the cycle's stages,
+        before fetch; the run loop says whether anything committed or
+        issued this cycle (it sees its own counters move, which are
+        bulk-flushed on the vector tier)."""
         self.total_cycles += 1
-        if delta > 0:
+        if committed_any:
             self.components["base"] += 1
             return
-        component, structure = self._classify(core, cycle, issue_delta > 0)
+        component, structure = self._classify(core, cycle, issued_any)
         self.components[component] += 1
         if structure:
             key = f"{component}:{structure}"
@@ -119,8 +111,7 @@ class CycleAccounting:
         operand readiness) is frozen, because any cycle on which one of
         them *would* change is an event candidate bounding the span.  The
         classification of ``start`` therefore holds for every cycle in the
-        span, and ``_last_committed`` / ``_last_issued`` need no update —
-        the counters they mirror did not move.
+        span.
         """
         span = end - start + 1
         self.total_cycles += span
@@ -130,13 +121,14 @@ class CycleAccounting:
             key = f"{component}:{structure}"
             self.detail[key] = self.detail.get(key, 0) + span
 
-    def on_warmup(self) -> None:
+    def on_warmup(self, core) -> None:
         """Snapshot at the warm-up boundary so :meth:`report` can exclude
-        warm-up cycles, mirroring the engine's counter snapshot."""
+        warm-up cycles, mirroring the engine's counter snapshot (taken
+        just before, so ``committed`` is current on either tier)."""
         self._warm_components = dict(self.components)
         self._warm_detail = dict(self.detail)
         self._warm_cycles = self.total_cycles
-        self._warm_committed = int(self._last_committed)
+        self._warm_committed = int(core.stats.counters.get("committed", 0.0))
 
     def finish(self, core, cycle: int) -> None:
         self.committed = int(core.stats.counters.get("committed", 0.0))

@@ -37,6 +37,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from repro.service import jobs as jobs_mod
 from repro.service.cluster.frontdoor import create_coordinator
 from repro.service.jobs import JobSpec, execute_job
 from repro.service.store import ResultStore
@@ -293,13 +294,24 @@ class ChaosFabric:
     # -- fault injectors (all seeded through self.rng) -------------------------
 
     def kill_random_worker(self) -> int:
-        """SIGKILL one live local-node worker (preferring one with a job
-        in flight, so the kill actually costs a delivery); returns its
-        pid."""
+        """SIGKILL one live local-node worker, preferring one with a job
+        in flight (waited for up to 30 s, so the kill actually costs a
+        delivery); returns its pid.
+
+        The pool's maps belong to the local node's thread, so they are
+        copied (one atomic call each) before being walked: ``is_alive``
+        waits on the child and releases the GIL, and the node thread may
+        assign or finish a job meanwhile."""
         pool = self.service.pool
-        busy = sorted(pid for pid in pool._assigned
-                      if pid in pool._workers and pool._workers[pid].is_alive())
-        victims = busy or sorted(pid for pid, proc in pool._workers.items()
+        deadline = time.monotonic() + 30.0
+        while True:
+            workers = dict(pool._workers)
+            busy = sorted(pid for pid in list(pool._assigned)
+                          if pid in workers and workers[pid].is_alive())
+            if busy or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        victims = busy or sorted(pid for pid, proc in workers.items()
                                  if proc.is_alive())
         assert victims, "no live worker to kill"
         pid = self.rng.choice(victims)
@@ -355,12 +367,24 @@ class ChaosFabric:
 
 
 def serial_digests(specs: Sequence[JobSpec]) -> Dict[str, str]:
-    """Ground truth: {result key: counter digest} from serial execution."""
+    """Ground truth: {result key: counter digest} from serial execution.
+
+    The oracle's runners are dropped afterwards: pool workers fork from
+    this process, and inheriting its memoised results would let them
+    answer without simulating, so the invariant would compare the oracle
+    with itself (and "mid-batch" faults would race jobs that finish in
+    milliseconds)."""
+    saved = dict(jobs_mod._RUNNERS)
+    jobs_mod._RUNNERS.clear()
     digests: Dict[str, str] = {}
-    for spec in specs:
-        record = execute_job(spec)
-        assert not record.get("failed"), record.get("error")
-        digests[spec.key()] = record["manifest"]["counter_digest"]
+    try:
+        for spec in specs:
+            record = execute_job(spec)
+            assert not record.get("failed"), record.get("error")
+            digests[spec.key()] = record["manifest"]["counter_digest"]
+    finally:
+        jobs_mod._RUNNERS.clear()
+        jobs_mod._RUNNERS.update(saved)
     return digests
 
 

@@ -146,8 +146,8 @@ class TestSemantics:
 class TestSanitizerIntegration:
     def test_misattribution_trips_the_sanitizer(self):
         class Broken(CycleAccounting):
-            def on_cycle(self, core, cycle):
-                super().on_cycle(core, cycle)
+            def on_cycle(self, core, cycle, *facts):
+                super().on_cycle(core, cycle, *facts)
                 if cycle == 100:          # drop a cycle: identity broken
                     self.components["base"] -= 1
 

@@ -33,6 +33,7 @@ from repro.engine.soatrace import (
     decode_trace,
     encode_trace,
 )
+from repro.obs.accounting import CycleAccounting
 from repro.obs.provenance import counter_digest
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.kernels import daxpy_program, pointer_chase_program
@@ -133,6 +134,116 @@ class TestKernelBitIdentity:
         base = build_core(cfg).run(trace, warmup=WARMUP)
         via_arrays = build_core(cfg).run(arrays, warmup=WARMUP)
         assert counter_digest(base) == counter_digest(via_arrays)
+
+
+def _accounted(cfg, trace, tier, ff, record):
+    core = build_core(cfg)
+    acct = CycleAccounting()
+    stats = core.run(trace, warmup=WARMUP, engine_tier=tier,
+                     fast_forward=ff, record_schedule=record,
+                     accounting=acct)
+    return core, stats, acct.report()
+
+
+class TestAccountingInKernel:
+    """CASINO's kernel hosts cycle accounting: the CPI stack, counters
+    and schedule of an accounted vector run equal the interpreted
+    loop's."""
+
+    @pytest.mark.parametrize("record", [True, False],
+                             ids=["schedule", "noschedule"])
+    @pytest.mark.parametrize("ff", [True, False], ids=["skip", "noskip"])
+    @pytest.mark.parametrize("mode", [DISAMBIG_NOLQ, DISAMBIG_FULLY_OOO,
+                                      DISAMBIG_AGI_ORDERING])
+    @pytest.mark.parametrize("app", ["mcf", "hmmer", "libquantum",
+                                     "omnetpp"])
+    def test_report_identical_to_pure(self, app, mode, ff, record):
+        cfg = dataclasses.replace(make_casino_config(),
+                                  name=f"casino-{mode}",
+                                  disambiguation=mode)
+        trace = _trace(app, n=3_000)
+        pure_core, pure_stats, pure_report = _accounted(
+            cfg, trace, "pure", ff, record)
+        vec_core, vec_stats, vec_report = _accounted(
+            cfg, trace, "vector", ff, record)
+        assert vec_core.engine_tier_used == "vector"
+        assert vec_report == pure_report
+        assert vec_report["identity_error"] is None
+        assert vec_stats.as_dict() == pure_stats.as_dict()
+        if record:
+            assert [(r[0],) + tuple(r[2:]) for r in vec_core.schedule] == \
+                   [(r[0],) + tuple(r[2:]) for r in pure_core.schedule]
+
+    def test_auto_selects_vector(self, monkeypatch):
+        monkeypatch.delenv("REPRO_PURE_PY", raising=False)
+        core = build_core(make_casino_config())
+        core.run(_trace("hmmer"), warmup=WARMUP, record_schedule=True,
+                 accounting=CycleAccounting())
+        assert core.engine_tier_used == "vector"
+
+    def test_casino_subclass_stays_pure(self, monkeypatch):
+        from repro.cores.casino.core import CasinoCore
+
+        class Sub(CasinoCore):
+            pass
+
+        monkeypatch.delenv("REPRO_PURE_PY", raising=False)
+        core = Sub(make_casino_config())
+        core.run(_trace("hmmer"), warmup=WARMUP,
+                 accounting=CycleAccounting())
+        assert core.engine_tier_used == "pure"
+
+    def test_inorder_with_accounting_stays_pure(self, monkeypatch):
+        monkeypatch.delenv("REPRO_PURE_PY", raising=False)
+        core = build_core(make_ino_config())
+        core.run(_trace("hmmer"), warmup=WARMUP,
+                 accounting=CycleAccounting())
+        assert core.engine_tier_used == "pure"
+        with pytest.raises(SimulationError, match="accounting"):
+            build_core(make_ino_config()).run(
+                _trace("hmmer"), warmup=WARMUP,
+                accounting=CycleAccounting(), engine_tier="vector")
+
+    def test_other_observers_still_force_pure(self):
+        from repro.obs.events import Tracer
+        with pytest.raises(SimulationError, match="tracer"):
+            build_core(make_casino_config()).run(
+                _trace("hmmer"), warmup=WARMUP, tracer=Tracer(),
+                accounting=CycleAccounting(), engine_tier="vector")
+
+
+class TestTraceOwnership:
+    """The SoA twin belongs to whoever owns the trace: no module-level
+    cache pins traces that callers have dropped."""
+
+    def test_conversion_keeps_the_source_objects(self):
+        trace = _trace("mcf", n=600)
+        assert TraceArrays.from_instructions(trace).materialize() is trace
+
+    def test_runner_converts_each_cached_trace_once(self):
+        from repro.harness.runner import Runner
+        runner = Runner(n_instrs=1_000, warmup=200)
+        profile = SUITE["hmmer"]
+        arrays = runner.trace_arrays(profile)
+        assert runner.trace_arrays(profile) is arrays
+        assert arrays.materialize() is runner.trace(profile)
+        runner.run(make_casino_config(), profile)
+        runner.run(make_ooo_config(), profile)
+        assert runner.trace_arrays(profile) is arrays
+
+    def test_bare_list_is_not_pinned(self, monkeypatch):
+        """A list passed to run() is converted for that call only."""
+        import gc
+        import sys
+        monkeypatch.delenv("REPRO_PURE_PY", raising=False)
+        trace = SyntheticWorkload(SUITE["mcf"]).generate(600)
+        before = sys.getrefcount(trace)
+        core = build_core(make_casino_config())
+        core.run(trace, warmup=100)
+        assert core.engine_tier_used == "vector"
+        del core
+        gc.collect()
+        assert sys.getrefcount(trace) == before
 
 
 class TestTierSelection:
